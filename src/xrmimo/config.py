@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,7 +85,6 @@ def default_config_dict() -> dict:
             "snr_grid_db": [10.0, 15.0, 20.0, 24.32],
             "bits_per_point": 10_000_000,
             "modulation_order": 64,
-            "noise_var": 1.0,
             "channel": {
                 "source": "synthetic",
                 "antennas": 100,
@@ -125,7 +125,9 @@ def _require_mapping(value, path: str) -> dict:
 def _check_unknown(mapping: dict, allowed, path: str) -> None:
     unknown = set(mapping) - set(allowed)
     if unknown:
-        _fail(path, f"unknown keys {sorted(map(str, unknown))}; allowed: {sorted(allowed)}")
+        prefix = "" if path == "<config>" else f"{path}."
+        dotted = sorted(f"{prefix}{key}" for key in unknown)
+        _fail(path, f"unknown keys {dotted}; allowed: {sorted(allowed)}")
 
 
 def _as_int(value, path: str, minimum=None) -> int:
@@ -136,11 +138,20 @@ def _as_int(value, path: str, minimum=None) -> int:
     return int(value)
 
 
+def _as_choice(value, path: str, choices) -> int:
+    value = _as_int(value, path)
+    if value not in choices:
+        _fail(path, f"must be one of {', '.join(map(str, choices))}, got {value}")
+    return value
+
+
 def _as_float(value, path: str, minimum=None, exclusive_minimum=False, maximum=None,
               exclusive_maximum=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        _fail(path, f"must be finite, got {v}")
     if minimum is not None:
         if exclusive_minimum and not v > minimum:
             _fail(path, f"must be > {minimum}, got {v}")
@@ -152,6 +163,16 @@ def _as_float(value, path: str, minimum=None, exclusive_minimum=False, maximum=N
         if not exclusive_maximum and v > maximum:
             _fail(path, f"must be <= {maximum}, got {v}")
     return v
+
+
+def _as_grid(value, path: str, **bounds) -> list:
+    """A non-empty list of distinct numbers, each checked by ``_as_float``."""
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty list")
+    grid = [_as_float(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
+    if len(set(grid)) != len(grid):
+        _fail(path, f"duplicate values in {grid}")
+    return grid
 
 
 def _as_str(value, path: str, choices=None) -> str:
@@ -204,8 +225,8 @@ def _validate_frame_structures(raw, path: str) -> dict:
             "layout": roles,
             "n_subcarriers": _as_int(entry.get("n_subcarriers", 1200),
                                      f"{entry_path}.n_subcarriers", minimum=1),
-            "bits_per_qam_symbol": _as_int(entry.get("bits_per_qam_symbol", 6),
-                                           f"{entry_path}.bits_per_qam_symbol", minimum=2),
+            "bits_per_qam_symbol": _as_choice(entry.get("bits_per_qam_symbol", 6),
+                                              f"{entry_path}.bits_per_qam_symbol", (2, 4, 6)),
             "tau_symb": _as_float(entry.get("tau_symb", 71.4e-6), f"{entry_path}.tau_symb",
                                   minimum=0.0, exclusive_minimum=True),
         }
@@ -277,14 +298,9 @@ def _validate_top_level(raw: dict) -> dict:
                              "n_landmarks", "bootstrap_draws", "ci_level"), "sensitivity")
         part = {}
         if "ber_grid" in sec:
-            grid = sec["ber_grid"]
-            if not isinstance(grid, list) or not grid:
-                _fail("sensitivity.ber_grid", "expected a non-empty list")
-            part["ber_grid"] = [
-                _as_float(b, f"sensitivity.ber_grid[{i}]", minimum=0.0,
-                          exclusive_minimum=True, maximum=0.5, exclusive_maximum=True)
-                for i, b in enumerate(grid)
-            ]
+            part["ber_grid"] = _as_grid(sec["ber_grid"], "sensitivity.ber_grid", minimum=0.0,
+                                        exclusive_minimum=True, maximum=0.5,
+                                        exclusive_maximum=True)
         if "scenarios" in sec:
             ids = sec["scenarios"]
             if not isinstance(ids, list) or not ids:
@@ -306,26 +322,17 @@ def _validate_top_level(raw: dict) -> dict:
         out["sensitivity"] = part
     if "ber" in raw:
         sec = _require_mapping(raw["ber"], "ber")
-        _check_unknown(sec, ("snr_grid_db", "bits_per_point", "modulation_order",
-                             "noise_var", "channel"), "ber")
+        _check_unknown(sec, ("snr_grid_db", "bits_per_point", "modulation_order", "channel"),
+                       "ber")
         part = {}
         if "snr_grid_db" in sec:
-            grid = sec["snr_grid_db"]
-            if not isinstance(grid, list) or not grid:
-                _fail("ber.snr_grid_db", "expected a non-empty list")
-            part["snr_grid_db"] = [_as_float(s, f"ber.snr_grid_db[{i}]")
-                                   for i, s in enumerate(grid)]
+            part["snr_grid_db"] = _as_grid(sec["snr_grid_db"], "ber.snr_grid_db")
         if "bits_per_point" in sec:
             part["bits_per_point"] = _as_int(sec["bits_per_point"], "ber.bits_per_point",
                                              minimum=1)
         if "modulation_order" in sec:
-            order = _as_int(sec["modulation_order"], "ber.modulation_order")
-            if order not in (4, 16, 64):
-                _fail("ber.modulation_order", "must be one of 4, 16, 64")
-            part["modulation_order"] = order
-        if "noise_var" in sec:
-            part["noise_var"] = _as_float(sec["noise_var"], "ber.noise_var",
-                                          minimum=0.0, exclusive_minimum=True)
+            part["modulation_order"] = _as_choice(sec["modulation_order"],
+                                                  "ber.modulation_order", (4, 16, 64))
         if "channel" in sec:
             chan = _require_mapping(sec["channel"], "ber.channel")
             _check_unknown(chan, ("source", "antennas", "users", "subcarriers", "paths"),
@@ -350,19 +357,12 @@ def _validate_top_level(raw: dict) -> dict:
         _check_unknown(sec, ("ber_targets", "modulation_order", "mode", "link_budget"), "power")
         part = {}
         if "ber_targets" in sec:
-            targets = sec["ber_targets"]
-            if not isinstance(targets, list) or not targets:
-                _fail("power.ber_targets", "expected a non-empty list")
-            part["ber_targets"] = [
-                _as_float(b, f"power.ber_targets[{i}]", minimum=0.0,
-                          exclusive_minimum=True, maximum=0.5, exclusive_maximum=True)
-                for i, b in enumerate(targets)
-            ]
+            part["ber_targets"] = _as_grid(sec["ber_targets"], "power.ber_targets", minimum=0.0,
+                                           exclusive_minimum=True, maximum=0.5,
+                                           exclusive_maximum=True)
         if "modulation_order" in sec:
-            order = _as_int(sec["modulation_order"], "power.modulation_order")
-            if order not in (4, 16, 64):
-                _fail("power.modulation_order", "must be one of 4, 16, 64")
-            part["modulation_order"] = order
+            part["modulation_order"] = _as_choice(sec["modulation_order"],
+                                                  "power.modulation_order", (4, 16, 64))
         if "mode" in sec:
             part["mode"] = _as_str(sec["mode"], "power.mode", choices=("analytic", "simulated"))
         if "link_budget" in sec:

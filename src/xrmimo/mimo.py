@@ -3,8 +3,13 @@
 Covers synthetic i.i.d. Rayleigh channel generation, a binary channel-file
 format for measured-channel replay, zero-forcing equalisation, power
 control towards a common post-equalisation SNR, and a Monte-Carlo
-uncoded-BER sweep that transmits Gray-QAM symbols through the channel with
-AWGN at the antennas.
+uncoded-BER sweep of Gray-QAM symbols through the zero-forcing receiver.
+
+Every zero-forcing quantity comes from one QR factorisation H = QR per
+subcarrier (Larsson, "MIMO detection methods: how they work", IEEE SPM
+26(3), 2009).  Q has orthonormal columns, so cond(H) = cond(R),
+(H^H H)^-1 = R^-1 R^-H, and the equaliser output is W y = x + R^-1 Q^H n,
+where Q^H n is white noise of the antenna noise variance in K dimensions.
 """
 
 from __future__ import annotations
@@ -126,41 +131,57 @@ def load_channels(paths) -> ChannelMatrix:
     return concat_channels(load_channel(p) for p in paths)
 
 
-def channel_condition(h) -> np.ndarray:
-    """2-norm condition number per subcarrier (or of a single matrix)."""
-    h = np.asarray(h, dtype=complex)
-    sv = np.linalg.svd(h, compute_uv=False)
-    smallest = sv[..., -1]
-    out = np.where(smallest > 0, sv[..., 0] / np.where(smallest > 0, smallest, 1.0), np.inf)
-    return out
+def _zf_factor(h):
+    """Condition numbers and R^-1 of (..., M, K) channels, from H = QR.
+
+    The SVD of the K x K factor R = U S V^H gives both cond(R) = cond(H)
+    and R^-1 = V S^-1 U^H; R^-1 is not finite where R is singular.
+    """
+    r = np.linalg.qr(np.asarray(h, dtype=complex), mode="r")
+    u, s, vh = np.linalg.svd(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[..., -1] > 0, s[..., 0] / s[..., -1], np.inf)
+        r_inv = (np.conjugate(np.swapaxes(vh, -1, -2)) / s[..., None, :]) @ np.conjugate(
+            np.swapaxes(u, -1, -2))
+    return cond, r_inv
 
 
-def _check_conditioning(h: np.ndarray) -> None:
-    cond = channel_condition(h)
-    if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
+def _usable(cond) -> np.ndarray:
+    return np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+
+
+def _check_conditioning(cond) -> None:
+    if not np.all(_usable(cond)):
         worst = float(np.max(cond))
         raise SingularChannelError(
             f"channel condition number {worst:.3e} exceeds limit {CONDITION_LIMIT:.0e}"
         )
 
 
+def _noise_gain(r_inv) -> np.ndarray:
+    """[(H^H H)^-1]_kk = squared norm of row k of R^-1."""
+    return np.sum(np.abs(r_inv) ** 2, axis=-1)
+
+
+def channel_condition(h) -> np.ndarray:
+    """2-norm condition number per subcarrier (or of a single matrix)."""
+    return _zf_factor(h)[0]
+
+
 def zf_equalizer(h) -> np.ndarray:
-    """Zero-forcing equaliser W = (H^H H)^-1 H^H for (..., M, K) channels."""
+    """Zero-forcing equaliser W = (H^H H)^-1 H^H = R^-1 R^-H H^H for (..., M, K) channels."""
     h = np.asarray(h, dtype=complex)
-    _check_conditioning(h)
-    hermitian = np.conjugate(np.swapaxes(h, -1, -2))
-    gram = hermitian @ h
-    return np.linalg.solve(gram, hermitian)
+    cond, r_inv = _zf_factor(h)
+    _check_conditioning(cond)
+    gram_inv = r_inv @ np.conjugate(np.swapaxes(r_inv, -1, -2))
+    return gram_inv @ np.conjugate(np.swapaxes(h, -1, -2))
 
 
 def zf_noise_gain(h) -> np.ndarray:
     """Per-user noise amplification [(H^H H)^-1]_kk, shape (..., K)."""
-    h = np.asarray(h, dtype=complex)
-    _check_conditioning(h)
-    hermitian = np.conjugate(np.swapaxes(h, -1, -2))
-    gram = hermitian @ h
-    inv = np.linalg.inv(gram)
-    return np.real(np.diagonal(inv, axis1=-2, axis2=-1)).copy()
+    cond, r_inv = _zf_factor(h)
+    _check_conditioning(cond)
+    return _noise_gain(r_inv)
 
 
 def post_eq_snr(h, noise_var: float, powers) -> np.ndarray:
@@ -209,15 +230,21 @@ class BerCurve:
 
 
 def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
-              *, noise_var: float = 1.0, constellation: QamConstellation | None = None,
+              *, constellation: QamConstellation | None = None,
               max_chunk_symbols: int | None = None) -> BerCurve:
     """Monte-Carlo uncoded BER versus power-controlled post-equalisation SNR.
 
     Per SNR point: power control fixes every user's post-equalisation SNR at
-    the target, random QAM symbols cross the channel with complex AWGN at
-    the antennas, the zero-forcing output is hard-demodulated, and bit
-    errors are pooled across users and subcarriers.  Ill-conditioned
-    subcarriers are skipped and counted.  Deterministic given ``seed``.
+    the target, random QAM symbols cross the channel with unit-variance
+    complex AWGN at the antennas, the zero-forcing output is
+    hard-demodulated, and bit errors are pooled across users and
+    subcarriers.  The zero-forcing output x + R^-1 Q^H n is simulated
+    directly: Q^H n is K-dimensional white noise, so K noise samples are
+    drawn per symbol time instead of M.  Ill-conditioned subcarriers are
+    skipped and counted.  Deterministic given ``seed``.
+
+    ``max_chunk_symbols`` bounds the symbol times simulated at once; by
+    default a chunk holds about 200 000 user-domain symbols.
     """
     snr_points_db = [float(s) for s in snr_points_db]
     if not snr_points_db:
@@ -226,27 +253,28 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
         raise ConfigurationError("bits_per_point must be >= 1")
     const = constellation or QamConstellation(64)
 
-    h = channel.gains
-    cond = channel_condition(h)
-    usable = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
-    n_singular = int(h.shape[0] - usable.sum())
+    cond, r_inv = _zf_factor(channel.gains)
+    usable = _usable(cond)
+    n_singular = int(usable.size - usable.sum())
     if not usable.any():
         raise SingularChannelError("all subcarriers are too ill-conditioned to equalise")
-    h = h[usable]
-    n_sub, n_ant, n_users = h.shape
-    w = zf_equalizer(h)
-    noise_gain = zf_noise_gain(h)
+    r_inv = r_inv[usable]
+    noise_gain = _noise_gain(r_inv)
+    n_sub, n_users = noise_gain.shape
 
     bits_per_use = n_sub * n_users * const.bits_per_symbol
     n_uses = -(-bits_per_point // bits_per_use)
     if max_chunk_symbols is None:
-        max_chunk_symbols = max(1, 2_000_000 // (n_sub * n_ant))
+        max_chunk_symbols = max(1, 200_000 // (n_sub * n_users))
 
     points = []
     for idx, snr_db in enumerate(snr_points_db):
         rng = generator(seed, idx)
         gamma = 10.0 ** (snr_db / 10.0)
-        amplitude = np.sqrt(gamma * noise_var * noise_gain)[:, :, None]
+        # Row k of R^-1 divided by user k's power-controlled amplitude
+        # sqrt(gamma * gain_k), and by sqrt(2) because the noise below has
+        # unit variance per real dimension.
+        colour = r_inv / np.sqrt(2.0 * gamma * noise_gain)[:, :, None]
         n_errors = 0
         n_bits = 0
         remaining = n_uses
@@ -256,13 +284,8 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
             bits = rng.integers(0, 2, size=(n_sub, n_users, n_sym, const.bits_per_symbol),
                                 dtype=np.uint8)
             symbols = const.modulate(bits.reshape(-1)).reshape(n_sub, n_users, n_sym)
-            tx = amplitude * symbols
-            noise = np.sqrt(noise_var / 2.0) * (
-                rng.standard_normal((n_sub, n_ant, n_sym))
-                + 1j * rng.standard_normal((n_sub, n_ant, n_sym))
-            )
-            rx = h @ tx + noise
-            equalised = (w @ rx) / amplitude
+            noise = rng.standard_normal((n_sub, n_users, 2 * n_sym)).view(complex)
+            equalised = symbols + colour @ noise
             bits_hat = const.demodulate(equalised.reshape(-1))
             n_errors += int(np.count_nonzero(bits_hat != bits.reshape(-1)))
             n_bits += bits.size

@@ -10,6 +10,7 @@ the config hash and seed.
 from __future__ import annotations
 
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +59,24 @@ def _format_value(value) -> str:
 
 def _write_csv(path: Path, header, rows, config: ExperimentConfig,
                extra_comments=()) -> Path:
+    """Write the CSV to a temporary sibling and rename it over ``path``.
+
+    The rename is atomic, so an interrupted run leaves either the previous
+    file or the complete new one, never a truncated file that still carries
+    a valid provenance line.
+    """
     lines = [f"# config_sha256={config.hash} seed={config.seed}"]
     lines.extend(extra_comments)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text("\n".join(lines) + "\n", encoding="ascii")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
     return path
 
 
@@ -206,7 +218,6 @@ def run_ber_study(config: ExperimentConfig, out_dir=None) -> Path:
     curve = ber_curve(
         channel, settings["snr_grid_db"], settings["bits_per_point"],
         seed=seed_sequence(config.seed, STUDY_BER, 1),
-        noise_var=settings["noise_var"],
         constellation=QamConstellation(settings["modulation_order"]),
     )
     if curve.n_singular_subcarriers:
@@ -239,7 +250,6 @@ def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
         curve = ber_curve(
             channel, config.ber["snr_grid_db"], config.ber["bits_per_point"],
             seed=seed_sequence(config.seed, STUDY_POWER, 1),
-            noise_var=config.ber["noise_var"],
             constellation=QamConstellation(settings["modulation_order"]),
         )
     rows = []

@@ -83,6 +83,34 @@ class TestValidation:
             build_config({"scenarios": {
                 "1": {"device_exec": {"kind": "empirical", "samples": []}}}})
 
+    @pytest.mark.parametrize("text, path", [
+        ("ber:\n  snr_grid_db: [.nan]\n", r"ber\.snr_grid_db\[0\]"),
+        ("latency:\n  tau_bs_s: .inf\n", r"latency\.tau_bs_s"),
+    ], ids=["nan-snr-grid", "inf-tau-bs"])
+    def test_non_finite_rejected(self, tmp_path, text, path):
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text(text)
+        with pytest.raises(ConfigurationError, match=rf"^{path}: must be finite"):
+            load_config(config_path)
+
+    @pytest.mark.parametrize("fragment, path", [
+        ({"ber": {"snr_grid_db": [10.0, 15.0, 10.0]}}, r"ber\.snr_grid_db"),
+        ({"sensitivity": {"ber_grid": [1e-4, 1e-4]}}, r"sensitivity\.ber_grid"),
+    ], ids=["snr-grid", "ber-grid"])
+    def test_duplicate_grid_values_rejected(self, fragment, path):
+        with pytest.raises(ConfigurationError, match=rf"^{path}: duplicate values"):
+            build_config(fragment)
+
+    def test_bits_per_qam_symbol_choices(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^frame_structures\.X\.bits_per_qam_symbol: must be one of"):
+            build_config({"frame_structures": {
+                "X": {"layout": ["pilot", "ul", "dl"], "bits_per_qam_symbol": 8}}})
+
+    def test_noise_var_removed(self):
+        with pytest.raises(ConfigurationError, match=r"ber\.noise_var"):
+            build_config({"ber": {"noise_var": 2.0}})
+
     def test_bad_type_messages(self):
         with pytest.raises(ConfigurationError, match="seed"):
             build_config({"seed": "abc"})

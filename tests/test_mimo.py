@@ -5,8 +5,10 @@ import pytest
 
 from xrmimo.exceptions import ChannelFileError, ConfigurationError, SingularChannelError
 from xrmimo.mimo import (
+    CONDITION_LIMIT,
     ChannelMatrix,
     ber_curve,
+    channel_condition,
     concat_channels,
     generate_channel,
     load_channel,
@@ -15,8 +17,28 @@ from xrmimo.mimo import (
     power_control,
     save_channel,
     zf_equalizer,
+    zf_noise_gain,
 )
-from xrmimo.modem import qam_ber_exact
+from xrmimo.modem import QamConstellation, qam_ber_exact
+from xrmimo.seeding import generator
+
+
+def antenna_domain_ber(h, snr_db, n_sym, constellation, rng):
+    """Reference engine: power-controlled symbols cross H with unit-variance
+    AWGN at every antenna, then zero-forcing and hard decisions.
+
+    Returns (n_errors, n_bits).
+    """
+    n_sub, n_ant, n_users = h.shape
+    amplitude = np.sqrt(10.0 ** (snr_db / 10.0) * zf_noise_gain(h))[:, :, None]
+    bits = rng.integers(0, 2, size=(n_sub, n_users, n_sym, constellation.bits_per_symbol),
+                        dtype=np.uint8)
+    symbols = constellation.modulate(bits.reshape(-1)).reshape(n_sub, n_users, n_sym)
+    noise = (rng.standard_normal((n_sub, n_ant, n_sym))
+             + 1j * rng.standard_normal((n_sub, n_ant, n_sym))) / np.sqrt(2.0)
+    rx = h @ (amplitude * symbols) + noise
+    bits_hat = constellation.demodulate(((zf_equalizer(h) @ rx) / amplitude).reshape(-1))
+    return int(np.count_nonzero(bits_hat != bits.reshape(-1))), bits.size
 
 
 class TestGenerateChannel:
@@ -139,6 +161,28 @@ class TestZeroForcing:
             zf_equalizer(h)
 
 
+class TestQrIdentities:
+    """cond(H) = cond(R) and [(H^H H)^-1]_kk = |row k of R^-1|^2."""
+
+    @pytest.mark.parametrize("shape", [(16, 4), (7, 32, 8), (5, 100, 10), (3, 2, 1)])
+    def test_condition_matches_numpy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.allclose(channel_condition(h), np.linalg.cond(h), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("shape", [(16, 4), (7, 32, 8), (5, 100, 10), (3, 2, 1)])
+    def test_noise_gain_matches_gram_inverse(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gram = np.conjugate(np.swapaxes(h, -1, -2)) @ h
+        expected = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
+        assert np.allclose(zf_noise_gain(h), expected, rtol=1e-10, atol=0)
+
+    def test_singular_condition_is_over_limit(self):
+        assert channel_condition(np.ones((4, 2), dtype=complex)) > CONDITION_LIMIT
+        assert channel_condition(np.zeros((4, 2), dtype=complex)) == np.inf
+
+
 class TestPostEqSnrAndPowerControl:
     def test_two_antenna_single_user(self):
         h = np.ones((2, 1), dtype=complex)
@@ -216,6 +260,38 @@ class TestBerCurve:
         curve = ber_curve(ChannelMatrix(gains), [12.0], 20_000, seed=12)
         assert curve.n_singular_subcarriers == 1
         assert curve.points[0].n_bits >= 20_000
+
+    def test_skipped_count_exact_on_duplicated_columns(self):
+        ch = generate_channel(32, 8, 50, rng=16)
+        gains = ch.gains.copy()
+        duplicated = [0, 3, 17, 18, 49]
+        for i, sub in enumerate(duplicated):
+            # Exact copies and scaled copies of another user's column.
+            gains[sub, :, 7 - i] = (1.0 + 0.5j * i) * gains[sub, :, i]
+        constellation = QamConstellation(16)
+        curve = ber_curve(ChannelMatrix(gains), [12.0], 100_000, seed=17,
+                          constellation=constellation)
+        assert curve.n_singular_subcarriers == len(duplicated)
+        bits_per_use = (50 - len(duplicated)) * 8 * constellation.bits_per_symbol
+        assert curve.points[0].n_bits == -(-100_000 // bits_per_use) * bits_per_use
+
+    def test_agrees_with_antenna_domain_engine(self):
+        """The user-domain engine and the antenna-domain reference both land
+        within 3 SE of the exact curve and within 3 combined SE of each other."""
+        ch = generate_channel(16, 4, 64, rng=18)
+        constellation = QamConstellation(16)
+        snr_db, n_sym = 12.0, 400
+        expected = qam_ber_exact(10.0 ** (snr_db / 10.0), 16)
+        ref_errors, ref_bits = antenna_domain_ber(ch.gains, snr_db, n_sym, constellation,
+                                                  generator(19))
+        point = ber_curve(ch, [snr_db], ref_bits, seed=20,
+                          constellation=constellation).points[0]
+        assert point.n_bits == ref_bits
+        ref_ber = ref_errors / ref_bits
+        se = np.sqrt(expected * (1.0 - expected) / ref_bits)
+        assert abs(ref_ber - expected) <= 3.0 * se
+        assert abs(point.ber - expected) <= 3.0 * se
+        assert abs(point.ber - ref_ber) <= 3.0 * np.sqrt(2.0) * se
 
     def test_all_singular_rejected(self):
         gains = np.ones((2, 4, 2), dtype=complex)

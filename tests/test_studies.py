@@ -1,5 +1,8 @@
 """Study orchestration and CLI tests (reduced-size configs)."""
 
+import errno
+from pathlib import Path
+
 import pytest
 
 from xrmimo import cli
@@ -140,6 +143,24 @@ class TestProvenance:
         path = run_power_study(cfg)
         first_line = path.read_text().splitlines()[0]
         assert first_line == f"# config_sha256={cfg.hash} seed=777"
+
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch):
+        path = run_latency_study(build_config({"output_dir": str(tmp_path),
+                                               "latency": {"trials": 4}}))
+        before = path.read_bytes()
+        write_text = Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            run_latency_study(build_config({"output_dir": str(tmp_path),
+                                            "latency": {"trials": 8}}))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["latency.csv"]
 
     def test_run_all_produces_four_files(self, tmp_path):
         cfg = build_config({
