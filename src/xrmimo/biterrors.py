@@ -17,21 +17,6 @@ from .seeding import as_generator
 
 
 @dataclass(frozen=True)
-class CorruptionSpec:
-    """Bit error rate over a payload of ``n_bits``, driven by ``seed``."""
-
-    ber: float
-    seed: int = 0
-    n_bits: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.ber <= 1.0:
-            raise ValueError("ber must lie in [0, 1]")
-        if self.n_bits < 0:
-            raise ValueError("n_bits must be >= 0")
-
-
-@dataclass(frozen=True)
 class FieldSpec:
     """Allowed range of one decoded field; 'float' fields may carry NaN/inf."""
 

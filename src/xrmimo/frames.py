@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .scenarios import SCENARIO_UL_BITS
+from .modem import VALID_QAM_ORDERS
 from .seeding import as_generator
 
-DEFAULT_SYMBOL_DURATION_S = 71.4e-6
-DEFAULT_BASESTATION_LATENCY_S = 132e-6
-DEFAULT_DEADLINE_S = 0.200
+BITS_PER_QAM_SYMBOL = tuple(order.bit_length() - 1 for order in VALID_QAM_ORDERS)
 
 # Downlink pose record: f64 timestamp + 3x f32 position + 4x f32 quaternion
 # + u32 frame id = 40 bytes.
@@ -57,23 +55,21 @@ class FrameStructure:
 
     name: str
     layout: tuple
-    n_subcarriers: int = 1200
-    bits_per_qam_symbol: int = 6
-    tau_symb: float = DEFAULT_SYMBOL_DURATION_S
+    n_subcarriers: int
+    bits_per_qam_symbol: int
+    tau_symb: float
 
     def __post_init__(self):
         layout = tuple(SymbolRole(role) for role in self.layout)
         object.__setattr__(self, "layout", layout)
-        if len(layout) < 2:
-            raise ConfigurationError("slot layout needs at least 2 symbols")
         if self.n_ul_symb < 1 or self.n_dl_symb < 1:
             raise ConfigurationError(
                 f"layout of {self.name!r} needs at least one uplink and one downlink symbol"
             )
         if self.n_subcarriers < 1:
             raise ConfigurationError("n_subcarriers must be >= 1")
-        if self.bits_per_qam_symbol not in (2, 4, 6):
-            raise ConfigurationError("bits_per_qam_symbol must be one of 2, 4, 6")
+        if self.bits_per_qam_symbol not in BITS_PER_QAM_SYMBOL:
+            raise ConfigurationError(f"bits_per_qam_symbol must be one of {BITS_PER_QAM_SYMBOL}")
         if not self.tau_symb > 0:
             raise ConfigurationError("tau_symb must be positive")
 
@@ -97,22 +93,6 @@ class FrameStructure:
     def bits_per_data_symbol(self) -> int:
         """Payload bits carried by one data symbol across all subcarriers."""
         return self.n_subcarriers * self.bits_per_qam_symbol
-
-
-def structure_a() -> FrameStructure:
-    """Balanced uplink/downlink preset (4 UL + 4 DL data symbols of 10)."""
-    layout = ("pilot", "ul", "ul", "ul", "ul", "pilot", "dl", "dl", "dl", "dl")
-    return FrameStructure(name="A", layout=layout)
-
-
-def structure_b() -> FrameStructure:
-    """Uplink-heavy preset (8 UL + 1 DL data symbols of 10)."""
-    layout = ("pilot", "ul", "ul", "ul", "ul", "ul", "ul", "ul", "ul", "dl")
-    return FrameStructure(name="B", layout=layout)
-
-
-def default_structures() -> dict:
-    return {"A": structure_a(), "B": structure_b()}
 
 
 def symbols_per_pose(payload_bits: int, fs: FrameStructure) -> int:
@@ -238,78 +218,23 @@ class ExecTimePair:
     offloaded: ExecTimeModel
 
 
-def default_exec_models() -> dict:
-    """Placeholder constants; not measured values.
+def pose_latency(pair: ExecTimePair, fs: FrameStructure, ul_payload_bits: int,
+                 dl_payload_bits: int, tau_bs: float, rng, trials: int) -> dict:
+    """``trials`` sampled pose-correction latencies, one array per term.
 
-    Scenarios 2 and 3 extract features on the device, so their device time
-    is more than double scenario 1's, while their offloaded share shrinks.
+    The terms are device, ul, bs, offloaded, dl and their sum, total.
+    Device times are drawn before offloaded times.
     """
-    return {
-        1: ExecTimePair(ExecTimeModel.constant(0.015), ExecTimeModel.constant(0.025)),
-        2: ExecTimePair(ExecTimeModel.constant(0.035), ExecTimeModel.constant(0.018)),
-        3: ExecTimePair(ExecTimeModel.constant(0.035), ExecTimeModel.constant(0.015)),
-    }
-
-
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """The five pose-correction latency terms, their sum, and the verdict."""
-
-    tau_device: float
-    tau_ul: float
-    tau_bs: float
-    tau_offloaded: float
-    tau_dl: float
-    tau_pose: float
-    meets_deadline: bool
-    deadline: float = DEFAULT_DEADLINE_S
-
-    def __post_init__(self):
-        terms = (self.tau_device, self.tau_ul, self.tau_bs, self.tau_offloaded, self.tau_dl)
-        if any(t < 0 for t in terms):
-            raise ConfigurationError("latency terms must be >= 0")
-        total = self.tau_device + self.tau_ul + self.tau_bs + self.tau_offloaded + self.tau_dl
-        if total != self.tau_pose:
-            raise ConfigurationError("tau_pose must equal the sum of its five terms")
-
-    @classmethod
-    def from_terms(cls, tau_device, tau_ul, tau_bs, tau_offloaded, tau_dl,
-                   deadline=DEFAULT_DEADLINE_S) -> "LatencyBreakdown":
-        total = tau_device + tau_ul + tau_bs + tau_offloaded + tau_dl
-        return cls(
-            tau_device=tau_device,
-            tau_ul=tau_ul,
-            tau_bs=tau_bs,
-            tau_offloaded=tau_offloaded,
-            tau_dl=tau_dl,
-            tau_pose=total,
-            meets_deadline=bool(total <= deadline),
-            deadline=deadline,
-        )
-
-
-def pose_latency(scenario: int, fs: FrameStructure, exec_models: Mapping, rng,
-                 *, ul_payload_bits: int | None = None,
-                 dl_payload_bits: int = POSE_RECORD_BITS,
-                 tau_bs: float = DEFAULT_BASESTATION_LATENCY_S,
-                 deadline: float = DEFAULT_DEADLINE_S) -> LatencyBreakdown:
-    """One sampled pose-correction latency for a scenario over a frame structure.
-
-    ``exec_models`` maps scenario id to an ``ExecTimePair``; the uplink
-    payload defaults to the scenario's packet size and the downlink payload
-    to the 40-byte pose record.
-    """
-    if scenario not in exec_models:
-        raise ConfigurationError(f"no execution-time models configured for scenario {scenario}")
-    pair = exec_models[scenario]
     gen = as_generator(rng)
-    tau_device = pair.device.sample(gen)
-    tau_offloaded = pair.offloaded.sample(gen)
-    if ul_payload_bits is None:
-        if scenario not in SCENARIO_UL_BITS:
-            raise ConfigurationError(f"unknown scenario {scenario} and no ul_payload_bits given")
-        ul_payload_bits = SCENARIO_UL_BITS[scenario]
+    device = pair.device.sample(gen, size=trials)
+    offloaded = pair.offloaded.sample(gen, size=trials)
     tau_ul = transmission_latency(ul_payload_bits, fs, "ul")
     tau_dl = transmission_latency(dl_payload_bits, fs, "dl")
-    return LatencyBreakdown.from_terms(tau_device, tau_ul, tau_bs, tau_offloaded, tau_dl,
-                                       deadline=deadline)
+    return {
+        "device": device,
+        "ul": np.full(trials, tau_ul),
+        "bs": np.full(trials, tau_bs),
+        "offloaded": offloaded,
+        "dl": np.full(trials, tau_dl),
+        "total": device + tau_ul + tau_bs + offloaded + tau_dl,
+    }

@@ -1,9 +1,9 @@
 """Multi-user Massive MIMO uplink physical layer.
 
 Covers synthetic i.i.d. Rayleigh channel generation, a binary channel-file
-format for measured-channel replay, zero-forcing equalisation, power
-control towards a common post-equalisation SNR, and a Monte-Carlo
-uncoded-BER sweep of Gray-QAM symbols through the zero-forcing receiver.
+format for measured-channel replay, zero-forcing equalisation, and a
+Monte-Carlo uncoded-BER sweep of power-controlled Gray-QAM users through
+the zero-forcing receiver.
 
 Every zero-forcing quantity comes from one QR factorisation H = QR per
 subcarrier (Larsson, "MIMO detection methods: how they work", IEEE SPM
@@ -25,6 +25,8 @@ from .seeding import as_generator, generator
 CHANNEL_FILE_MAGIC = b"XMCH"
 CHANNEL_HEADER_BYTES = 16
 CONDITION_LIMIT = 1e12
+# User-domain symbols simulated at once by ``ber_curve``.
+CHUNK_USER_SYMBOLS = 200_000
 
 
 @dataclass
@@ -184,34 +186,6 @@ def zf_noise_gain(h) -> np.ndarray:
     return _noise_gain(r_inv)
 
 
-def post_eq_snr(h, noise_var: float, powers) -> np.ndarray:
-    """Per-user post-equalisation SNR p_k / (sigma^2 [(H^H H)^-1]_kk)."""
-    if not noise_var > 0:
-        raise ConfigurationError("noise_var must be positive")
-    p = np.asarray(powers, dtype=float)
-    if np.any(p <= 0):
-        raise ConfigurationError("transmit powers must be positive")
-    return p / (noise_var * zf_noise_gain(h))
-
-
-@dataclass(frozen=True)
-class PowerControlSolution:
-    """Per-user powers that equalise the post-equalisation SNR at the target."""
-
-    powers: np.ndarray
-    target_snr: float
-
-
-def power_control(h, noise_var: float, target_snr: float) -> PowerControlSolution:
-    """Powers p_k = gamma sigma^2 [(H^H H)^-1]_kk achieving a common SNR gamma."""
-    if not target_snr > 0:
-        raise ConfigurationError("target_snr must be positive")
-    if not noise_var > 0:
-        raise ConfigurationError("noise_var must be positive")
-    powers = target_snr * noise_var * zf_noise_gain(h)
-    return PowerControlSolution(powers=powers, target_snr=float(target_snr))
-
-
 @dataclass(frozen=True)
 class BerPoint:
     snr_db: float
@@ -230,8 +204,7 @@ class BerCurve:
 
 
 def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
-              *, constellation: QamConstellation | None = None,
-              max_chunk_symbols: int | None = None) -> BerCurve:
+              *, constellation: QamConstellation | None = None) -> BerCurve:
     """Monte-Carlo uncoded BER versus power-controlled post-equalisation SNR.
 
     Per SNR point: power control fixes every user's post-equalisation SNR at
@@ -241,10 +214,8 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
     subcarriers.  The zero-forcing output x + R^-1 Q^H n is simulated
     directly: Q^H n is K-dimensional white noise, so K noise samples are
     drawn per symbol time instead of M.  Ill-conditioned subcarriers are
-    skipped and counted.  Deterministic given ``seed``.
-
-    ``max_chunk_symbols`` bounds the symbol times simulated at once; by
-    default a chunk holds about 200 000 user-domain symbols.
+    skipped and counted.  Deterministic given ``seed``.  A chunk holds
+    about ``CHUNK_USER_SYMBOLS`` user-domain symbols.
     """
     snr_points_db = [float(s) for s in snr_points_db]
     if not snr_points_db:
@@ -264,8 +235,7 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
 
     bits_per_use = n_sub * n_users * const.bits_per_symbol
     n_uses = -(-bits_per_point // bits_per_use)
-    if max_chunk_symbols is None:
-        max_chunk_symbols = max(1, 200_000 // (n_sub * n_users))
+    chunk_symbols = max(1, CHUNK_USER_SYMBOLS // (n_sub * n_users))
 
     points = []
     for idx, snr_db in enumerate(snr_points_db):
@@ -279,7 +249,7 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
         n_bits = 0
         remaining = n_uses
         while remaining > 0:
-            n_sym = min(max_chunk_symbols, remaining)
+            n_sym = min(chunk_symbols, remaining)
             remaining -= n_sym
             bits = rng.integers(0, 2, size=(n_sub, n_users, n_sym, const.bits_per_symbol),
                                 dtype=np.uint8)

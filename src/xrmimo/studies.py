@@ -44,8 +44,6 @@ SENSITIVITY_CSV_HEADER = ("scenario", "ber", "boot_mean_pct", "boot_std_pct",
 BER_CSV_HEADER = ("snr_db", "ber", "n_bits", "n_errors")
 POWER_CSV_HEADER = ("ber_target", "snr_db", "power_dbm", "power_mw")
 
-_LATENCY_TERMS = ("device", "ul", "bs", "offloaded", "dl", "total")
-
 
 def _format_value(value) -> str:
     if isinstance(value, bool) or isinstance(value, np.bool_):
@@ -90,29 +88,15 @@ def run_latency_study(config: ExperimentConfig, out_dir=None) -> Path:
     exec_models = config.exec_models()
     payload_bits = config.scenario_payload_bits()
     settings = config.latency
-    trials = settings["trials"]
     rows = []
     for scenario in config.scenario_ids():
-        pair = exec_models[scenario]
         for struct_idx, (name, fs) in enumerate(sorted(structures.items())):
-            rng = generator(config.seed, STUDY_LATENCY, scenario, struct_idx)
-            device = pair.device.sample(rng, size=trials)
-            offloaded = pair.offloaded.sample(rng, size=trials)
-            tau_ul = frames.transmission_latency(payload_bits[scenario], fs, "ul")
-            tau_dl = frames.transmission_latency(settings["dl_payload_bits"], fs, "dl")
-            tau_bs = settings["tau_bs_s"]
-            totals = device + tau_ul + tau_bs + offloaded + tau_dl
-            meets = bool(totals.mean() <= settings["deadline_s"])
-            series = {
-                "device": device,
-                "ul": np.full(trials, tau_ul),
-                "bs": np.full(trials, tau_bs),
-                "offloaded": offloaded,
-                "dl": np.full(trials, tau_dl),
-                "total": totals,
-            }
-            for term in _LATENCY_TERMS:
-                values = series[term]
+            series = frames.pose_latency(
+                exec_models[scenario], fs, payload_bits[scenario], settings["dl_payload_bits"],
+                settings["tau_bs_s"], generator(config.seed, STUDY_LATENCY, scenario, struct_idx),
+                settings["trials"])
+            meets = bool(series["total"].mean() <= settings["deadline_s"])
+            for term, values in series.items():
                 rows.append((scenario, name, term, float(values.mean()),
                              float(values.std(ddof=0)), float(values.max()), meets))
     out = _resolve_out_dir(config, out_dir) / "latency.csv"

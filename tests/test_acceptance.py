@@ -61,7 +61,8 @@ def criterion(number, label, budget_s):
 
 def test_criterion_1_latency_golden_values():
     with criterion(1, "latency golden values", budget_s=1.0):
-        fa, fb = frames.structure_a(), frames.structure_b()
+        structures = build_config().frame_structures()
+        fa, fb = structures["A"], structures["B"]
         got_s3_b = frames.transmission_latency(SCENARIO_UL_BITS[3], fb, "ul")
         assert got_s3_b == fb.tau_symb * 121  # 3 + 96 + 11 * (10 - 8)
         assert got_s3_b == pytest.approx(8.6394e-3, rel=1e-12)

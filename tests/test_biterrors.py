@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrmimo.biterrors import (
-    CorruptionSpec,
     FieldSpec,
     corrupt,
     flip_bits,
@@ -102,12 +101,6 @@ class TestCorrupt:
         a = corrupt(payload, 1e-2, np.random.default_rng(77))
         b = corrupt(payload, 1e-2, np.random.default_rng(77))
         assert a == b
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            CorruptionSpec(ber=-0.1)
-        with pytest.raises(ValueError):
-            CorruptionSpec(ber=0.5, n_bits=-1)
 
 
 class TestSanitize:

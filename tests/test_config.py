@@ -3,9 +3,57 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrmimo.config import build_config, config_hash, default_config_dict, load_config
 from xrmimo.exceptions import ConfigurationError
+
+
+def _names(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _names(value)
+
+
+# Every key the schema knows, some it does not, and scenario ids in both forms.
+KEYS = st.sampled_from(sorted(set(_names(default_config_dict())))
+                       + ["samples", "mean", "std", "C", "noise_var", 1, 2, 9, None])
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-2**80, max_value=2**80)
+    | st.just(10**400), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "ul", "dl", "pilot", "constant", "empirical", "truncated_normal",
+                     "files", "simulated", "1"]),
+    st.text(max_size=5),
+)
+NESTED = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(KEYS | st.floats() | st.text(max_size=3), inner,
+                                        max_size=4), max_leaves=20)
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+
+
+DEFAULT_PATHS = list(_paths(default_config_dict()))
+
+
+@st.composite
+def mutated_defaults(draw):
+    """The default config with a few values, anywhere in it, replaced."""
+    fragment = default_config_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(DEFAULT_PATHS))
+        node = fragment
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = draw(NESTED)
+    return fragment
 
 
 class TestDefaults:
@@ -110,6 +158,33 @@ class TestValidation:
     def test_noise_var_removed(self):
         with pytest.raises(ConfigurationError, match=r"ber\.noise_var"):
             build_config({"ber": {"noise_var": 2.0}})
+
+    @pytest.mark.parametrize("layout", [["pilot", "ul"], ["dl", "pilot", "dl"]])
+    def test_layout_needs_uplink_and_downlink(self, layout):
+        with pytest.raises(ConfigurationError, match=r"^frame_structures\.A\.layout: needs"):
+            build_config({"frame_structures": {"A": {"layout": layout}}})
+
+    def test_repeated_scenario_ids_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^sensitivity\.scenarios: duplicate values"):
+            build_config({"sensitivity": {"scenarios": [1, 1]}})
+
+    @pytest.mark.parametrize("fragment, message", [
+        ({"latency": {"deadline_s": 10**400}}, r"^latency\.deadline_s: must be finite"),
+        ({"scenarios": {float("inf"): {}}}, r"^scenarios\.inf: scenario keys must be integers"),
+    ], ids=["int-too-large-for-float", "infinite-scenario-key"])
+    def test_overflowing_values_rejected(self, fragment, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build_config(fragment)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fragment=st.dictionaries(KEYS, NESTED, max_size=6) | mutated_defaults())
+    def test_arbitrary_fragments_fail_only_with_configuration_error(self, fragment):
+        try:
+            cfg = build_config(fragment)
+        except ConfigurationError:
+            return
+        assert len(cfg.hash) == 16
 
     def test_bad_type_messages(self):
         with pytest.raises(ConfigurationError, match="seed"):

@@ -6,41 +6,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrmimo import frames
+from xrmimo.config import build_config
 from xrmimo.exceptions import ConfigurationError
 from xrmimo.frames import (
     ExecTimeModel,
     ExecTimePair,
     FrameStructure,
-    LatencyBreakdown,
     SymbolRole,
-    default_exec_models,
     max_cyclic_start_gap,
     pose_latency,
     slots_per_pose,
-    structure_a,
-    structure_b,
     symbols_per_pose,
     transmission_latency,
     worst_case_wait,
 )
 from xrmimo.scenarios import SCENARIO_UL_BITS
 
+# The default presets: A is balanced (4 UL + 4 DL of 10), B uplink-heavy (8 UL + 1 DL).
+PRESETS = build_config().frame_structures()
+STRUCTURE_A, STRUCTURE_B = PRESETS["A"], PRESETS["B"]
+TAU_BS_S = 132e-6
 
-def contiguous_structure(n_ul, n_dl, n_pilot=1, **kwargs):
-    layout = ("pilot",) * n_pilot + ("ul",) * n_ul + ("dl",) * n_dl
-    return FrameStructure(name="t", layout=layout, **kwargs)
+
+def make_structure(layout, name="t", n_subcarriers=1200, bits_per_qam_symbol=6,
+                   tau_symb=71.4e-6):
+    return FrameStructure(name=name, layout=layout, n_subcarriers=n_subcarriers,
+                          bits_per_qam_symbol=bits_per_qam_symbol, tau_symb=tau_symb)
+
+
+def contiguous_structure(n_ul, n_dl, n_pilot=1):
+    return make_structure(("pilot",) * n_pilot + ("ul",) * n_ul + ("dl",) * n_dl)
 
 
 class TestFrameStructure:
     def test_defaults(self):
-        fs = structure_a()
+        fs = STRUCTURE_A
         assert fs.n_symb == 10
         assert fs.n_ul_symb == 4
         assert fs.n_dl_symb == 4
         assert fs.bits_per_data_symbol == 7200
 
     def test_structure_b_counts(self):
-        fs = structure_b()
+        fs = STRUCTURE_B
         assert fs.n_ul_symb == 8
         assert fs.n_dl_symb == 1
 
@@ -54,51 +61,51 @@ class TestFrameStructure:
     ])
     def test_invalid_structures(self, kwargs):
         with pytest.raises(ConfigurationError):
-            FrameStructure(name="bad", **kwargs)
+            make_structure(**kwargs)
 
     def test_layout_accepts_strings_and_roles(self):
-        fs = FrameStructure(name="x", layout=("pilot", SymbolRole.UPLINK_DATA, "dl"))
+        fs = make_structure(("pilot", SymbolRole.UPLINK_DATA, "dl"))
         assert fs.layout[1] is SymbolRole.UPLINK_DATA
 
 
 class TestSymbolsPerPose:
     def test_scenario_1_uplink(self):
         # 900 KiB over 1200 subcarriers x 6 bits
-        assert symbols_per_pose(7_372_800, structure_a()) == 1024
+        assert symbols_per_pose(7_372_800, STRUCTURE_A) == 1024
 
     def test_scenario_3_uplink(self):
-        assert symbols_per_pose(688_128, structure_a()) == 96
+        assert symbols_per_pose(688_128, STRUCTURE_A) == 96
 
     def test_minimal_payload(self):
-        assert symbols_per_pose(1, structure_a()) == 1
+        assert symbols_per_pose(1, STRUCTURE_A) == 1
 
     def test_rejects_nonpositive_payload(self):
         with pytest.raises(ValueError):
-            symbols_per_pose(0, structure_a())
+            symbols_per_pose(0, STRUCTURE_A)
 
 
 class TestSlotsPerPose:
     def test_structure_b_uplink(self):
-        assert slots_per_pose(96, structure_b(), "ul") == 11
+        assert slots_per_pose(96, STRUCTURE_B, "ul") == 11
 
     def test_structure_a_uplink(self):
-        assert slots_per_pose(1024, structure_a(), "ul") == 255
+        assert slots_per_pose(1024, STRUCTURE_A, "ul") == 255
 
     def test_single_symbol_fits_first_slot(self):
-        for fs in (structure_a(), structure_b()):
+        for fs in (STRUCTURE_A, STRUCTURE_B):
             for direction in ("ul", "dl"):
                 assert slots_per_pose(1, fs, direction) == 0
 
 
 class TestWorstCaseWait:
     def test_structure_a_uplink(self):
-        assert worst_case_wait(structure_a(), "ul") == 7
+        assert worst_case_wait(STRUCTURE_A, "ul") == 7
 
     def test_structure_b_uplink(self):
-        assert worst_case_wait(structure_b(), "ul") == 3
+        assert worst_case_wait(STRUCTURE_B, "ul") == 3
 
     def test_structure_b_downlink_single_symbol(self):
-        assert worst_case_wait(structure_b(), "dl") == 10
+        assert worst_case_wait(STRUCTURE_B, "dl") == 10
 
     def test_all_uplink_layout(self):
         layout = (SymbolRole.UPLINK_DATA,) * 6
@@ -106,12 +113,12 @@ class TestWorstCaseWait:
 
     def test_non_contiguous_layout(self):
         layout = ("ul", "pilot", "ul", "dl", "dl", "pilot")
-        fs = FrameStructure(name="nc", layout=layout)
+        fs = make_structure(layout)
         # UL starts at 0 and 2: gaps 2 and 0 + 6 - 2 = 4
         assert worst_case_wait(fs, "ul") == 4
 
     def test_guard_symbols_count_as_overhead(self):
-        fs = FrameStructure(name="g", layout=("pilot", "ul", "ul", "guard", "dl"))
+        fs = make_structure(("pilot", "ul", "ul", "guard", "dl"))
         assert fs.n_symb == 5
         assert worst_case_wait(fs, "ul") == 4  # 5 - 2 + 1
         assert worst_case_wait(fs, "dl") == 5
@@ -122,19 +129,19 @@ class TestWorstCaseWait:
 
 class TestTransmissionLatency:
     def test_scenario_3_structure_b(self):
-        fs = structure_b()
+        fs = STRUCTURE_B
         got = transmission_latency(SCENARIO_UL_BITS[3], fs, "ul")
         assert got == fs.tau_symb * (3 + 96 + 11 * 2)
         assert got == pytest.approx(8.6394e-3, rel=1e-12)
 
     def test_scenario_1_structure_a(self):
-        fs = structure_a()
+        fs = STRUCTURE_A
         got = transmission_latency(SCENARIO_UL_BITS[1], fs, "ul")
         assert got == fs.tau_symb * (7 + 1024 + 255 * 6)
         assert got == pytest.approx(182.8554e-3, rel=1e-12)
 
     def test_pose_downlink_structure_a(self):
-        fs = structure_a()
+        fs = STRUCTURE_A
         got = transmission_latency(frames.POSE_RECORD_BITS, fs, "dl")
         assert got == fs.tau_symb * (7 + 1 + 0)
         assert got == pytest.approx(571.2e-6, rel=1e-12)
@@ -143,7 +150,7 @@ class TestTransmissionLatency:
     @given(bits=st.integers(min_value=1, max_value=10**8),
            extra=st.integers(min_value=0, max_value=10**6))
     def test_monotone_in_payload(self, bits, extra):
-        fs = structure_a()
+        fs = STRUCTURE_A
         assert (transmission_latency(bits + extra, fs, "ul")
                 >= transmission_latency(bits, fs, "ul"))
 
@@ -162,7 +169,7 @@ class TestTransmissionLatency:
     @settings(max_examples=60, deadline=None)
     @given(bits=st.integers(min_value=1, max_value=7200 * 4))
     def test_fit_in_one_slot(self, bits):
-        fs = structure_a()
+        fs = STRUCTURE_A
         n = symbols_per_pose(bits, fs)
         if n <= fs.n_ul_symb:
             assert slots_per_pose(n, fs, "ul") == 0
@@ -193,7 +200,7 @@ class TestExecTimeModel:
         assert (draws >= 0).all()
 
     def test_default_models_feature_extraction_doubling(self):
-        models = default_exec_models()
+        models = build_config().exec_models()
         baseline = models[1].device.value
         assert models[2].device.value > 2 * baseline
         assert models[3].device.value > 2 * baseline
@@ -202,49 +209,52 @@ class TestExecTimeModel:
 class TestPoseLatency:
     def zero_exec(self):
         zero = ExecTimeModel.constant(0.0)
-        return {s: ExecTimePair(zero, zero) for s in (1, 2, 3)}
+        return ExecTimePair(zero, zero)
+
+    def latency(self, pair, fs, scenario, rng=0, trials=1):
+        return pose_latency(pair, fs, SCENARIO_UL_BITS[scenario], frames.POSE_RECORD_BITS,
+                            TAU_BS_S, rng, trials)
 
     def test_scenario_3_structure_b_zero_exec(self):
-        breakdown = pose_latency(3, structure_b(), self.zero_exec(), rng=0)
-        assert breakdown.tau_ul == pytest.approx(8.6394e-3, rel=1e-12)
-        assert breakdown.tau_dl == pytest.approx(785.4e-6, rel=1e-12)
-        assert breakdown.tau_pose == pytest.approx(9.5568e-3, rel=1e-12)
-        assert breakdown.meets_deadline
+        terms = self.latency(self.zero_exec(), STRUCTURE_B, 3)
+        assert list(terms) == ["device", "ul", "bs", "offloaded", "dl", "total"]
+        assert terms["ul"][0] == pytest.approx(8.6394e-3, rel=1e-12)
+        assert terms["dl"][0] == pytest.approx(785.4e-6, rel=1e-12)
+        assert terms["total"][0] == pytest.approx(9.5568e-3, rel=1e-12)
+        assert terms["total"][0] <= 0.200
 
     def test_constant_passthrough(self):
-        breakdown = LatencyBreakdown.from_terms(0.0, 0.0, 132e-6, 0.0, 0.0)
-        assert breakdown.tau_pose == 132e-6
-        assert breakdown.meets_deadline
+        pair = ExecTimePair(ExecTimeModel.constant(0.01), ExecTimeModel.constant(0.02))
+        terms = self.latency(pair, STRUCTURE_A, 2, trials=5)
+        assert (terms["device"] == 0.01).all()
+        assert (terms["offloaded"] == 0.02).all()
+        assert (terms["bs"] == TAU_BS_S).all()
 
     def test_scenario_1_structure_a_violates_deadline(self):
-        exec_models = {1: ExecTimePair(ExecTimeModel.constant(0.035),
-                                       ExecTimeModel.constant(0.020))}
-        breakdown = pose_latency(1, structure_a(), exec_models, rng=0)
-        assert breakdown.tau_pose == pytest.approx(238.5586e-3, rel=1e-6)
-        assert not breakdown.meets_deadline
-
-    def test_missing_exec_model(self):
-        with pytest.raises(ConfigurationError):
-            pose_latency(2, structure_a(), {1: ExecTimePair(
-                ExecTimeModel.constant(0), ExecTimeModel.constant(0))}, rng=0)
+        pair = ExecTimePair(ExecTimeModel.constant(0.035), ExecTimeModel.constant(0.020))
+        terms = self.latency(pair, STRUCTURE_A, 1)
+        assert terms["total"][0] == pytest.approx(238.5586e-3, rel=1e-6)
+        assert terms["total"][0] > 0.200
 
     def test_sum_identity_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            terms = rng.uniform(0, 0.1, size=5)
-            breakdown = LatencyBreakdown.from_terms(*terms)
-            total = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
-            assert breakdown.tau_pose == total
+        pair = ExecTimePair(ExecTimeModel.truncated_normal(0.02, 0.01),
+                            ExecTimeModel.empirical([0.01, 0.013, 0.04]))
+        terms = self.latency(pair, STRUCTURE_B, 2, rng=np.random.default_rng(3), trials=50)
+        total = terms["device"] + terms["ul"] + terms["bs"] + terms["offloaded"] + terms["dl"]
+        assert (terms["total"] == total).all()
 
-    def test_negative_term_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatencyBreakdown.from_terms(-1e-9, 0, 0, 0, 0)
+    def test_device_drawn_before_offloaded(self):
+        pair = ExecTimePair(ExecTimeModel.truncated_normal(0.02, 0.01),
+                            ExecTimeModel.truncated_normal(0.01, 0.005))
+        terms = self.latency(pair, STRUCTURE_B, 3, rng=np.random.default_rng(4), trials=20)
+        rng = np.random.default_rng(4)
+        assert (terms["device"] == pair.device.sample(rng, size=20)).all()
+        assert (terms["offloaded"] == pair.offloaded.sample(rng, size=20)).all()
 
     def test_deterministic_given_seed(self):
-        models = {3: ExecTimePair(ExecTimeModel.truncated_normal(0.02, 0.01),
-                                  ExecTimeModel.truncated_normal(0.01, 0.005))}
-        a = [pose_latency(3, structure_b(), models, rng=np.random.default_rng(9))
-             for _ in range(3)]
-        b = [pose_latency(3, structure_b(), models, rng=np.random.default_rng(9))
-             for _ in range(3)]
-        assert a == b
+        pair = ExecTimePair(ExecTimeModel.truncated_normal(0.02, 0.01),
+                            ExecTimeModel.truncated_normal(0.01, 0.005))
+        a = self.latency(pair, STRUCTURE_B, 3, rng=np.random.default_rng(9), trials=3)
+        b = self.latency(pair, STRUCTURE_B, 3, rng=np.random.default_rng(9), trials=3)
+        for term in a:
+            assert (a[term] == b[term]).all()

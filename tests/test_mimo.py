@@ -13,8 +13,6 @@ from xrmimo.mimo import (
     generate_channel,
     load_channel,
     load_channels,
-    post_eq_snr,
-    power_control,
     save_channel,
     zf_equalizer,
     zf_noise_gain,
@@ -182,49 +180,12 @@ class TestQrIdentities:
         assert channel_condition(np.ones((4, 2), dtype=complex)) > CONDITION_LIMIT
         assert channel_condition(np.zeros((4, 2), dtype=complex)) == np.inf
 
+    def test_orthonormal_unit_gain(self):
+        h = np.vstack([np.eye(3, 2), np.zeros((1, 2))]).astype(complex)
+        assert np.allclose(zf_noise_gain(h), 1.0)
 
-class TestPostEqSnrAndPowerControl:
-    def test_two_antenna_single_user(self):
-        h = np.ones((2, 1), dtype=complex)
-        assert post_eq_snr(h, 1.0, [1.0]) == pytest.approx([2.0])
-
-    def test_linearity_in_power(self):
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        p = np.array([1.0, 2.0, 0.5])
-        base = post_eq_snr(h, 1.0, p)
-        scaled = post_eq_snr(h, 1.0, 3.0 * p)
-        assert np.allclose(scaled, 3.0 * base)
-
-    def test_orthonormal_unit(self):
-        h = np.eye(3, 2, dtype=complex)
-        h = np.vstack([h, np.zeros((1, 2))])
-        assert np.allclose(post_eq_snr(h, 0.7, [0.7, 0.7]), 1.0)
-
-    def test_power_control_orthonormal(self):
-        h = np.vstack([np.eye(2), np.zeros((1, 2))]).astype(complex)
-        sol = power_control(h, 1.0, 10.0)
-        assert np.allclose(sol.powers, 10.0)
-
-    def test_power_control_inverse_of_snr(self):
-        h = np.ones((2, 1), dtype=complex)
-        sol = power_control(h, 1.0, 2.0)
-        assert sol.powers == pytest.approx([1.0])
-
-    def test_round_trip_equalises_all_users(self):
-        ch = generate_channel(32, 6, 20, rng=3)
-        sol = power_control(ch.gains, 2.0, 7.5)
-        achieved = post_eq_snr(ch.gains, 2.0, sol.powers)
-        assert np.abs(achieved / 7.5 - 1.0).max() < 1e-9
-
-    def test_rejects_bad_args(self):
-        h = np.ones((2, 1), dtype=complex)
-        with pytest.raises(ConfigurationError):
-            post_eq_snr(h, 0.0, [1.0])
-        with pytest.raises(ConfigurationError):
-            post_eq_snr(h, 1.0, [0.0])
-        with pytest.raises(ConfigurationError):
-            power_control(h, 1.0, 0.0)
+    def test_two_antenna_single_user_gain(self):
+        assert zf_noise_gain(np.ones((2, 1), dtype=complex)) == pytest.approx([0.5])
 
 
 class TestBerCurve:

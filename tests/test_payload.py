@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrmimo.biterrors import corrupt, hamming_distance
 from xrmimo.exceptions import FramingError
@@ -138,6 +140,32 @@ class TestSanitisedDecoding:
             assert CAMERA.depth_min <= f.depth <= CAMERA.depth_max
             assert 0.0 <= f.score <= 1.0
             assert 0 <= f.intensity <= 255
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_bytes_decode_in_range(self, scenario, data):
+        n = payload_num_bytes(scenario, CAMERA)
+        # A wire image is too large to draw byte by byte: tile a drawn pattern
+        # (NaN, inf and all-ones floats among them) or fill from a drawn seed,
+        # then overwrite drawn spans with drawn bytes.
+        if data.draw(st.booleans(), label="seeded fill"):
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            wire = bytearray(np.random.default_rng(seed).bytes(n))
+        else:
+            tile = data.draw(st.binary(min_size=1, max_size=16), label="tile")
+            wire = bytearray((tile * (n // len(tile) + 1))[:n])
+        patches = st.tuples(st.integers(0, n - 1), st.binary(min_size=1, max_size=64))
+        for offset, chunk in data.draw(st.lists(patches, max_size=8), label="patches"):
+            chunk = chunk[:n - offset]
+            wire[offset:offset + len(chunk)] = chunk
+        decoded = decode_payload(bytes(wire), scenario, CAMERA)
+        assert len(decoded) <= FEATURE_SLOTS
+        for f in decoded:
+            assert 0.0 <= f.u <= CAMERA.width - 1
+            assert 0.0 <= f.v <= CAMERA.height - 1
+            assert CAMERA.depth_min <= f.depth <= CAMERA.depth_max
+            assert 0.0 <= f.score <= 1.0
 
     def test_padding_slots_stay_invalid_without_corruption(self):
         feats = sample_features(7, seed=8)
