@@ -47,8 +47,11 @@ def sample_error_count(n_bits: int, ber: float, rng) -> int:
 def sample_flip_positions(n_bits: int, k: int, rng) -> np.ndarray:
     """k distinct bit positions, uniform over all k-subsets of range(n_bits).
 
-    Rejection on batched uniform draws keeps the cost near O(k) for the
-    sparse case and stays stable across numpy versions.
+    Rejection on batched uniform draws: each batch is appended to the
+    positions kept so far and only the first occurrence of every value
+    survives, in draw order.  The cost stays near O(k log k) for the sparse
+    case and the draws are stable across numpy versions.  For k > n_bits // 2
+    the complement is sampled instead.
     """
     if not 0 <= k <= n_bits:
         raise ValueError(f"need 0 <= k <= n_bits, got k={k}, n_bits={n_bits}")
@@ -69,9 +72,31 @@ def sample_flip_positions(n_bits: int, k: int, rng) -> np.ndarray:
         batch = gen.integers(0, n_bits, size=max(16, int(1.2 * (k - collected.size))),
                              dtype=np.int64)
         merged = np.concatenate([collected, batch])
-        _, first_index = np.unique(merged, return_index=True)
-        collected = merged[np.sort(first_index)]
+        collected = merged[_first_occurrences(merged, n_bits)]
     return collected[:k]
+
+
+def _first_occurrences(values: np.ndarray, n_values: int) -> np.ndarray:
+    """Mask of the first occurrence of each distinct entry of ``values``.
+
+    ``values`` lie in ``range(n_values)``.  One sort of the composite key
+    ``value << shift | index`` puts each value's first index at the start
+    of its run.  ``np.unique(values, return_index=True)`` finds the same
+    indices through a stable argsort, so it is kept only for keys that would
+    not fit in 63 bits.
+    """
+    keep = np.zeros(values.size, dtype=bool)
+    shift = max(1, (values.size - 1).bit_length())
+    if (n_values - 1).bit_length() + shift > 63:
+        keep[np.unique(values, return_index=True)[1]] = True
+        return keep
+    keys = np.sort((values << shift) | np.arange(values.size, dtype=np.int64))
+    sorted_values = keys >> shift
+    starts = np.empty(keys.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    keep[keys[starts] & ((1 << shift) - 1)] = True
+    return keep
 
 
 def flip_bits(payload: bytes, k: int, rng) -> bytes:
@@ -94,27 +119,8 @@ def corrupt(payload: bytes, ber: float, rng) -> bytes:
     return flip_bits(payload, k, gen)
 
 
-def hamming_distance(a: bytes, b: bytes) -> int:
-    """Number of differing bits between two equal-length payloads."""
-    if len(a) != len(b):
-        raise ValueError("payloads must have equal length")
-    xa = np.frombuffer(a, dtype=np.uint8)
-    xb = np.frombuffer(b, dtype=np.uint8)
-    return int(np.bitwise_count(xa ^ xb).sum())
-
-
-def sanitize_field(value, spec: FieldSpec):
-    """Clamp a decoded value into its allowed range; NaN/inf become the midpoint."""
-    if spec.kind == "int":
-        return int(min(max(int(value), int(spec.minimum)), int(spec.maximum)))
-    v = float(value)
-    if not np.isfinite(v):
-        return float(spec.midpoint)
-    return float(min(max(v, spec.minimum), spec.maximum))
-
-
 def sanitize_array(values, spec: FieldSpec) -> np.ndarray:
-    """Vectorised ``sanitize_field`` over an array of decoded values."""
+    """Clamp decoded values into their allowed range; NaN/inf become the midpoint."""
     if spec.kind == "int":
         arr = np.asarray(values).astype(np.int64)
         return np.clip(arr, int(spec.minimum), int(spec.maximum))

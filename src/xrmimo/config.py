@@ -153,6 +153,8 @@ def _table(entry, what: str):
         out = {}
         for key, row in value.items():
             name, schema = entry(key, f"{path}.{key}")
+            if name in out:
+                _fail(f"{path}.{key}", f"names the {what} {name!r} a second time")
             out[name] = _resolve(schema, row, f"{path}.{name}")
         return out
     return check
@@ -171,9 +173,11 @@ def _frame_structure(key, path: str):
 
 
 def _scenario(key, path: str):
-    try:
+    if isinstance(key, str) and key.isascii() and key.isdigit():
         sid = int(key)
-    except (TypeError, ValueError, OverflowError):
+    elif isinstance(key, int) and not isinstance(key, bool):
+        sid = key
+    else:
         _fail(path, "scenario keys must be integers")
     if sid not in SCENARIO_IDS:
         _fail(path, f"scenario id must be one of {SCENARIO_IDS}")

@@ -20,11 +20,13 @@ field into its allowed range before use.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..biterrors import FieldSpec, sanitize_array
 from ..exceptions import ConfigurationError, FramingError
-from ..scenarios import SCENARIO_IDS, SCENARIO_UL_BYTES
+from ..scenarios import SCENARIO_IDS
 from .camera import CameraModel
 from .features import MAX_FEATURES_PER_FRAME, Feature
 
@@ -46,10 +48,6 @@ assert RECORD_DTYPE.itemsize == 48
 assert RECORD_WITH_DEPTH_DTYPE.itemsize == 56
 
 _DEFAULT_CAMERA = CameraModel()
-assert FEATURE_SLOTS * RECORD_WITH_DEPTH_DTYPE.itemsize == SCENARIO_UL_BYTES[3]
-assert (FEATURE_SLOTS * RECORD_DTYPE.itemsize
-        + 2 * _DEFAULT_CAMERA.width * _DEFAULT_CAMERA.height) == SCENARIO_UL_BYTES[2]
-assert 3 * _DEFAULT_CAMERA.width * _DEFAULT_CAMERA.height == SCENARIO_UL_BYTES[1]
 
 
 def payload_num_bytes(scenario: int, camera: CameraModel | None = None) -> int:
@@ -116,10 +114,14 @@ def _depth_image(features, camera: CameraModel) -> np.ndarray:
     return depth
 
 
+@lru_cache(maxsize=8)
 def _background_image(camera: CameraModel) -> np.ndarray:
+    """The fixed greyscale ramp of scenario 1, built once per camera; read-only."""
     xs = np.arange(camera.width, dtype=np.uint32)
     ys = np.arange(camera.height, dtype=np.uint32)
-    return ((3 * xs[None, :] + 7 * ys[:, None]) & 0xFF).astype(np.uint8)
+    image = ((3 * xs[None, :] + 7 * ys[:, None]) & 0xFF).astype(np.uint8)
+    image.flags.writeable = False
+    return image
 
 
 def encode_payload(features, scenario: int, camera: CameraModel | None = None) -> bytes:
@@ -134,7 +136,7 @@ def encode_payload(features, scenario: int, camera: CameraModel | None = None) -
     elif scenario == 1:
         records = _build_records(features, RECORD_DTYPE)
         stride = _patch_stride(camera)
-        image = _background_image(camera).reshape(-1)
+        image = _background_image(camera).flatten()
         record_bytes = records.view(np.uint8).reshape(FEATURE_SLOTS, RECORD_DTYPE.itemsize)
         offsets = (np.arange(FEATURE_SLOTS) * stride)[:, None] + np.arange(RECORD_DTYPE.itemsize)
         image[offsets] = record_bytes
@@ -191,16 +193,9 @@ def decode_payload(payload: bytes, scenario: int, camera: CameraModel | None = N
         py = np.clip(np.rint(v), 0, camera.height - 1).astype(int)
         depth = sanitize_array(depth_image[py, px] / 1000.0, specs["depth"])
 
-    descriptors = np.ascontiguousarray(records["descriptor"])
-    intensities = records["intensity"]
-    features = []
-    for i in np.flatnonzero(valid):
-        features.append(Feature(
-            u=float(u[i]),
-            v=float(v[i]),
-            depth=float(depth[i]),
-            descriptor=descriptors[i].tobytes(),
-            intensity=int(intensities[i]),
-            score=float(score[i]),
-        ))
-    return features
+    keep = np.flatnonzero(valid)
+    descriptors = [row.tobytes() for row in records["descriptor"][keep]]
+    return [Feature(u=fu, v=fv, depth=fd, descriptor=desc, intensity=fi, score=fs)
+            for fu, fv, fd, desc, fi, fs in zip(
+                u[keep].tolist(), v[keep].tolist(), depth[keep].tolist(), descriptors,
+                records["intensity"][keep].tolist(), score[keep].tolist())]

@@ -83,16 +83,26 @@ class Scene:
 def descriptor_distances(a, b) -> np.ndarray:
     """Pairwise Hamming distances between two descriptor byte arrays.
 
-    Chunked over rows of ``a`` to keep the XOR workspace small.
+    ``a`` is (n, w) or (w,) bytes and ``b`` is (m, w) or (w,); the result
+    is (n, m) int32.  When w is a multiple of 8 the rows are compared as
+    64-bit words, otherwise byte by byte: one (n, m) XOR and popcount per
+    word position, added into the result.  Chunked over rows of ``a`` to
+    keep the XOR workspace small.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
     b = np.atleast_2d(np.asarray(b, dtype=np.uint8))
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int32)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"descriptor widths differ: {a.shape[-1]} and {b.shape[-1]}")
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int32)
     chunk = max(1, 4_000_000 // max(1, b.shape[0] * b.shape[1]))
+    if a.shape[-1] % 8 == 0:
+        a = np.ascontiguousarray(a).view("<u8")
+        b = np.ascontiguousarray(b).view("<u8")
     for start in range(0, a.shape[0], chunk):
         stop = min(start + chunk, a.shape[0])
-        xorred = a[start:stop, None, :] ^ b[None, :, :]
-        out[start:stop] = np.bitwise_count(xorred).sum(axis=-1, dtype=np.int32)
+        rows, block = a[start:stop], out[start:stop]
+        for word in range(a.shape[-1]):
+            block += np.bitwise_count(rows[:, word, None] ^ b[None, :, word])
     return out
 
 

@@ -7,14 +7,55 @@ from hypothesis import strategies as st
 
 from xrmimo.biterrors import (
     FieldSpec,
+    _first_occurrences,
     corrupt,
     flip_bits,
-    hamming_distance,
     sample_error_count,
     sample_flip_positions,
     sanitize_array,
-    sanitize_field,
 )
+
+
+# Reference implementations the library is checked against.
+
+def hamming_distance(a: bytes, b: bytes) -> int:
+    """Number of differing bits between two equal-length payloads."""
+    if len(a) != len(b):
+        raise ValueError("payloads must have equal length")
+    xa = np.frombuffer(a, dtype=np.uint8)
+    xb = np.frombuffer(b, dtype=np.uint8)
+    return int(np.bitwise_count(xa ^ xb).sum())
+
+
+def sanitize_field(value, spec: FieldSpec):
+    """Clamp one decoded value into its allowed range; NaN/inf become the midpoint."""
+    if spec.kind == "int":
+        return int(min(max(int(value), int(spec.minimum)), int(spec.maximum)))
+    v = float(value)
+    if not np.isfinite(v):
+        return float(spec.midpoint)
+    return float(min(max(v, spec.minimum), spec.maximum))
+
+
+def unique_based_flip_positions(n_bits: int, k: int, gen) -> np.ndarray:
+    """Reference sampler: the same batched draws, deduplicated by ``np.unique``."""
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    if k == n_bits:
+        return np.arange(n_bits, dtype=np.int64)
+    if k > n_bits // 2:
+        drop = unique_based_flip_positions(n_bits, n_bits - k, gen)
+        mask = np.ones(n_bits, dtype=bool)
+        mask[drop] = False
+        return np.flatnonzero(mask).astype(np.int64)
+    collected = np.empty(0, dtype=np.int64)
+    while collected.size < k:
+        batch = gen.integers(0, n_bits, size=max(16, int(1.2 * (k - collected.size))),
+                             dtype=np.int64)
+        merged = np.concatenate([collected, batch])
+        _, first_index = np.unique(merged, return_index=True)
+        collected = merged[np.sort(first_index)]
+    return collected[:k]
 
 
 class TestSampleErrorCount:
@@ -62,6 +103,34 @@ class TestFlipBits:
             pos = sample_flip_positions(n, k, rng)
             assert len(np.unique(pos)) == k
             assert pos.min() >= 0 and pos.max() < n
+
+    @pytest.mark.parametrize("n_bits, k, seed", [
+        (8, 1, 0),
+        (37, 5, 1),
+        (1000, 499, 2),      # just under n // 2
+        (1000, 501, 3),      # complement path
+        (1000, 999, 4),      # complement of a single drop
+        (64, 31, 0),         # the first batch holds only 24 distinct positions
+        (7_372_800, 74_000, 6),  # scenario 1 payload at BER ~1e-2
+        (2**62, 20, 7),      # position and index keys would overflow int64
+    ])
+    def test_matches_unique_based_reference(self, n_bits, k, seed):
+        expected = unique_based_flip_positions(n_bits, k, np.random.default_rng(seed))
+        actual = sample_flip_positions(n_bits, k, np.random.default_rng(seed))
+        assert actual.dtype == np.int64
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("values, n_values", [
+        ([3, 1, 3, 0, 1, 3], 4),         # the largest value repeats last
+        ([0, 0, 0], 1),
+        (np.random.default_rng(8).integers(0, 50, 1000), 50),
+        ([1, 1 + 2**62, 1, 7], 2**63),   # a shifted key would lose the top bit
+    ])
+    def test_first_occurrences_match_unique(self, values, n_values):
+        values = np.asarray(values, dtype=np.int64)
+        expected = np.zeros(values.size, dtype=bool)
+        expected[np.unique(values, return_index=True)[1]] = True
+        assert np.array_equal(_first_occurrences(values, n_values), expected)
 
     def test_single_flip_uniformity(self):
         """Each of the 8 positions of a 1-byte payload drawn ~uniformly."""

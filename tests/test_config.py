@@ -102,6 +102,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             build_config({"scenarios": {"9": {}}})
 
+    @pytest.mark.parametrize("key", [2.7, 2.0, True, " 3", "3 ", "+3", b"3"],
+                             ids=["float", "integral-float", "bool", "leading-space",
+                                  "trailing-space", "signed", "bytes"])
+    def test_scenario_keys_only_ints_and_digit_strings(self, key):
+        with pytest.raises(ConfigurationError,
+                           match=r"^scenarios\..*: scenario keys must be integers"):
+            build_config({"scenarios": {key: {}}})
+
+    @pytest.mark.parametrize("table, first, second, row", [
+        ("frame_structures", 1, "1", {"layout": ["pilot", "ul", "dl"]}),
+        ("scenarios", 1, "1", {}),
+        ("scenarios", 3, "03", {}),
+    ])
+    def test_colliding_table_names_rejected(self, table, first, second, row):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{table}\.{second}: names the .* '\d' a second time"):
+            build_config({table: {first: row, second: row}})
+
     def test_empty_frame_structures_rejected(self):
         with pytest.raises(ConfigurationError, match="frame"):
             build_config({"frame_structures": {}})

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrmimo.biterrors import corrupt, hamming_distance
+from test_biterrors import hamming_distance
+from xrmimo.biterrors import corrupt
 from xrmimo.exceptions import FramingError
+from xrmimo.scenarios import SCENARIO_IDS, SCENARIO_UL_BYTES
 from xrmimo.sandbox import (
     CameraModel,
     FEATURE_SLOTS,
@@ -50,6 +52,10 @@ class TestPayloadSizes:
         assert payload_num_bytes(1, CAMERA) == 921_600
         assert payload_num_bytes(2, CAMERA) == 688_128
         assert payload_num_bytes(3, CAMERA) == 86_016
+
+    @pytest.mark.parametrize("scenario", SCENARIO_IDS)
+    def test_scenario_table_matches_default_camera(self, scenario):
+        assert payload_num_bytes(scenario) == SCENARIO_UL_BYTES[scenario]
 
     def test_record_layout_sizes(self):
         assert RECORD_DTYPE.itemsize == 48

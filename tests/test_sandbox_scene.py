@@ -99,6 +99,57 @@ class TestScene:
         assert default_bounds().size == pytest.approx([4.2, 2.5, 2.5])
 
 
+def bytewise_distances(a, b) -> np.ndarray:
+    """Reference: XOR every byte pair and count its bits."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return np.bitwise_count(a[:, None] ^ b[None]).sum(-1)
+
+
+class TestDescriptorDistances:
+    @pytest.mark.parametrize("width", [1, 7, 8, 32, 33])
+    def test_matches_bytewise_reference(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.integers(0, 256, (23, width), dtype=np.uint8)
+        b = rng.integers(0, 256, (17, width), dtype=np.uint8)
+        b[0] = ~a[0]  # one pair differing in every bit
+        dist = descriptor_distances(a, b)
+        assert dist.dtype == np.int32
+        assert np.array_equal(dist, bytewise_distances(a, b))
+        assert dist[0, 0] == 8 * width
+
+    def test_single_row_as_scene_generation_passes_it(self):
+        rng = np.random.default_rng(40)
+        accepted = rng.integers(0, 256, (9, 32), dtype=np.uint8)
+        candidate = rng.integers(0, 256, 32, dtype=np.uint8)
+        dist = descriptor_distances(candidate[None, :], accepted)
+        assert dist.shape == (1, 9)
+        assert np.array_equal(dist, bytewise_distances(candidate, accepted))
+        assert np.array_equal(descriptor_distances(candidate, accepted), dist)
+
+    def test_non_contiguous_inputs(self):
+        rng = np.random.default_rng(41)
+        wide = rng.integers(0, 256, (30, 64), dtype=np.uint8)
+        cases = [
+            (wide[::2, :32], wide[1::3, 32:]),       # strided rows, offset columns
+            (wide[:, ::2], wide[:12, 1::2]),         # strided columns
+            (np.asfortranarray(wide[:8, :40]), wide[8:20, 24:]),
+        ]
+        for a, b in cases:
+            assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+            assert np.array_equal(descriptor_distances(a, b), bytewise_distances(a, b))
+
+    def test_row_chunks_agree_with_one_block(self):
+        """More rows than one XOR chunk holds."""
+        rng = np.random.default_rng(42)
+        a = rng.integers(0, 256, (70, 32), dtype=np.uint8)  # 62 rows a chunk
+        b = rng.integers(0, 256, (2000, 32), dtype=np.uint8)
+        assert np.array_equal(descriptor_distances(a, b), bytewise_distances(a, b))
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            descriptor_distances(np.zeros((2, 32), np.uint8), np.zeros((2, 33), np.uint8))
+
+
 class TestTrajectory:
     def test_two_frames_inside_bounds(self):
         traj = generate_trajectory(2, rng=9)
