@@ -8,16 +8,15 @@ to raw bit errors in each offloading payload.
 """
 
 from .camera import CameraModel
-from .features import Feature, MAX_FEATURES_PER_FRAME, MIN_FEATURES_FOR_POSE, observe
-from .matching import Correspondence, match_features
-from .payload import (
-    FEATURE_SLOTS,
+from .features import (
+    MAX_FEATURES_PER_FRAME,
+    MIN_FEATURES_FOR_POSE,
     RECORD_DTYPE,
     RECORD_WITH_DEPTH_DTYPE,
-    decode_payload,
-    encode_payload,
-    payload_num_bytes,
+    observe,
 )
+from .matching import MATCH_DTYPE, match_features
+from .payload import FEATURE_SLOTS, decode_payload, encode_payload, payload_num_bytes
 from .pipeline import run_pipeline
 from .scene import (
     Box,
@@ -45,11 +44,10 @@ from .trajectory import (
 __all__ = [
     "Box",
     "CameraModel",
-    "Correspondence",
     "DESCRIPTOR_BYTES",
     "FEATURE_SLOTS",
-    "Feature",
     "GroundTruthTrajectory",
+    "MATCH_DTYPE",
     "MAX_FEATURES_PER_FRAME",
     "MIN_DESCRIPTOR_HAMMING",
     "MIN_FEATURES_FOR_POSE",

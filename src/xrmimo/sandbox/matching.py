@@ -8,8 +8,6 @@ matches unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scene import Scene, descriptor_distances
@@ -17,45 +15,41 @@ from .scene import Scene, descriptor_distances
 MAX_MATCH_DISTANCE = 64
 MIN_SECOND_BEST_MARGIN = 32
 
+# One accepted correspondence: the record row it came from, the landmark
+# it matched, and what the solver needs of both.
+MATCH_DTYPE = np.dtype([
+    ("feature", "<i8"),
+    ("landmark", "<i8"),
+    ("pixel", "<f8", (2,)),
+    ("depth", "<f8"),
+    ("world", "<f8", (3,)),
+])
 
-@dataclass(frozen=True)
-class Correspondence:
-    feature_index: int
-    landmark_index: int
-    pixel: np.ndarray
-    depth: float
-    world_point: np.ndarray
 
-
-def match_features(features, scene: Scene) -> list:
-    """Accepted feature-to-landmark correspondences.
+def match_features(features, scene: Scene) -> np.ndarray:
+    """Accepted feature-to-landmark correspondences, one ``MATCH_DTYPE`` row each.
 
     A feature matches iff its nearest scene descriptor is within
     ``MAX_MATCH_DISTANCE`` and the second nearest is at least
     ``MIN_SECOND_BEST_MARGIN`` bits farther.  An empty result is valid.
     """
-    if not features:
-        return []
-    desc = np.frombuffer(b"".join(f.descriptor for f in features), dtype=np.uint8)
-    desc = desc.reshape(len(features), -1)
-    dist = descriptor_distances(desc, scene.descriptors)
+    n = len(features)
+    dist = descriptor_distances(features["descriptor"], scene.descriptors)
     best_idx = np.argmin(dist, axis=1)
-    best = dist[np.arange(len(features)), best_idx]
+    best = dist[np.arange(n), best_idx]
     if scene.n_landmarks >= 2:
         second = np.partition(dist, 1, axis=1)[:, 1]
     else:
-        second = np.full(len(features), np.iinfo(np.int32).max)
-    accepted = (best <= MAX_MATCH_DISTANCE) & (second >= best + MIN_SECOND_BEST_MARGIN)
+        second = np.full(n, np.iinfo(np.int32).max)
+    accepted = np.flatnonzero(
+        (best <= MAX_MATCH_DISTANCE) & (second >= best + MIN_SECOND_BEST_MARGIN)
+    )
 
-    matches = []
-    for i in np.flatnonzero(accepted):
-        feat = features[i]
-        lm = int(best_idx[i])
-        matches.append(Correspondence(
-            feature_index=int(i),
-            landmark_index=lm,
-            pixel=np.array([feat.u, feat.v]),
-            depth=float(feat.depth),
-            world_point=scene.positions[lm].copy(),
-        ))
+    matches = np.zeros(accepted.size, dtype=MATCH_DTYPE)
+    matches["feature"] = accepted
+    matches["landmark"] = best_idx[accepted]
+    matches["pixel"][:, 0] = features["u"][accepted]
+    matches["pixel"][:, 1] = features["v"][accepted]
+    matches["depth"] = features["depth"][accepted]
+    matches["world"] = scene.positions[matches["landmark"]]
     return matches

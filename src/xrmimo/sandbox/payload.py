@@ -28,31 +28,13 @@ from ..biterrors import FieldSpec, sanitize_array
 from ..exceptions import ConfigurationError, FramingError
 from ..scenarios import SCENARIO_IDS
 from .camera import CameraModel
-from .features import MAX_FEATURES_PER_FRAME, Feature
+from .features import MAX_FEATURES_PER_FRAME, RECORD_DTYPE, RECORD_WITH_DEPTH_DTYPE
 
 FEATURE_SLOTS = MAX_FEATURES_PER_FRAME
 
-_RECORD_FIELDS = [
-    ("descriptor", "u1", (32,)),
-    ("u", "<f4"),
-    ("v", "<f4"),
-    ("score", "<f4"),
-    ("valid", "u1"),
-    ("intensity", "u1"),
-    ("reserved", "<u2"),
-]
-RECORD_DTYPE = np.dtype(_RECORD_FIELDS)
-RECORD_WITH_DEPTH_DTYPE = np.dtype(_RECORD_FIELDS + [("depth", "<f8")])
 
-assert RECORD_DTYPE.itemsize == 48
-assert RECORD_WITH_DEPTH_DTYPE.itemsize == 56
-
-_DEFAULT_CAMERA = CameraModel()
-
-
-def payload_num_bytes(scenario: int, camera: CameraModel | None = None) -> int:
+def payload_num_bytes(scenario: int, camera: CameraModel) -> int:
     """Exact serialized size of one uplink payload."""
-    camera = camera or _DEFAULT_CAMERA
     image_bytes = camera.width * camera.height
     if scenario == 1:
         return image_bytes + 2 * image_bytes
@@ -83,34 +65,32 @@ def _field_specs(camera: CameraModel) -> dict:
 
 
 def _build_records(features, dtype) -> np.ndarray:
+    """All ``FEATURE_SLOTS`` slots: the feature rows first, zeros after."""
     if len(features) > FEATURE_SLOTS:
         raise FramingError(f"at most {FEATURE_SLOTS} features fit in a payload")
     records = np.zeros(FEATURE_SLOTS, dtype=dtype)
-    for i, feat in enumerate(features):
-        if len(feat.descriptor) != 32:
-            raise FramingError("descriptors must be exactly 32 bytes")
-        records["descriptor"][i] = np.frombuffer(feat.descriptor, dtype=np.uint8)
-        records["u"][i] = feat.u
-        records["v"][i] = feat.v
-        records["score"][i] = feat.score
-        records["valid"][i] = 1
-        records["intensity"][i] = feat.intensity
-        if "depth" in dtype.names:
-            records["depth"][i] = feat.depth
+    for name in dtype.names:
+        records[name][:len(features)] = features[name]
     return records
 
 
 def _depth_image(features, camera: CameraModel) -> np.ndarray:
     """Dense uint16 millimetre depth map carrying each feature's depth.
 
-    Features landing on the same rounded pixel overwrite each other; the
-    robust pose solver treats the loser as an outlier.
+    Features landing on the same rounded pixel overwrite each other and the
+    later feature wins; the robust pose solver treats the loser as an
+    outlier.
     """
+    px = np.clip(np.rint(features["u"]), 0, camera.width - 1).astype(np.intp)
+    py = np.clip(np.rint(features["v"]), 0, camera.height - 1).astype(np.intp)
+    millimetres = np.clip(np.rint(features["depth"] * 1000.0), 0, 65535).astype(np.uint16)
+    flat = py * camera.width + px
+    # numpy leaves the winner of repeated fancy-index writes unspecified, so
+    # write only the last feature on each pixel.
+    _, first_from_end = np.unique(flat[::-1], return_index=True)
+    last = flat.size - 1 - first_from_end
     depth = np.zeros((camera.height, camera.width), dtype=np.uint16)
-    for feat in features:
-        px = min(max(int(round(feat.u)), 0), camera.width - 1)
-        py = min(max(int(round(feat.v)), 0), camera.height - 1)
-        depth[py, px] = np.uint16(min(max(round(feat.depth * 1000.0), 0), 65535))
+    depth.flat[flat[last]] = millimetres[last]
     return depth
 
 
@@ -124,9 +104,8 @@ def _background_image(camera: CameraModel) -> np.ndarray:
     return image
 
 
-def encode_payload(features, scenario: int, camera: CameraModel | None = None) -> bytes:
-    """Serialize a frame's features into the scenario's exact wire format."""
-    camera = camera or _DEFAULT_CAMERA
+def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
+    """Serialize a frame's feature records into the scenario's exact wire format."""
     if scenario == 3:
         records = _build_records(features, RECORD_WITH_DEPTH_DTYPE)
         payload = records.tobytes()
@@ -149,9 +128,12 @@ def encode_payload(features, scenario: int, camera: CameraModel | None = None) -
     return payload
 
 
-def decode_payload(payload: bytes, scenario: int, camera: CameraModel | None = None) -> list:
-    """Recover sanitised features from a (possibly corrupted) payload."""
-    camera = camera or _DEFAULT_CAMERA
+def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.ndarray:
+    """Sanitised valid records (``RECORD_WITH_DEPTH_DTYPE``) of a possibly corrupted payload.
+
+    Scenarios 1 and 2 take each record's depth from the depth image at its
+    rounded pixel.
+    """
     expected = payload_num_bytes(scenario, camera)
     if len(payload) != expected:
         raise FramingError(
@@ -179,7 +161,7 @@ def decode_payload(payload: bytes, scenario: int, camera: CameraModel | None = N
         raise ConfigurationError(f"unknown scenario {scenario}, expected one of {SCENARIO_IDS}")
 
     specs = _field_specs(camera)
-    valid = sanitize_array(records["valid"], specs["valid"]) == 1
+    records = records[sanitize_array(records["valid"], specs["valid"]) == 1]
     # Corrupted float32 bytes may hold signaling NaNs; widening them trips
     # the FPU invalid flag even though sanitisation handles them.
     with np.errstate(invalid="ignore"):
@@ -193,9 +175,14 @@ def decode_payload(payload: bytes, scenario: int, camera: CameraModel | None = N
         py = np.clip(np.rint(v), 0, camera.height - 1).astype(int)
         depth = sanitize_array(depth_image[py, px] / 1000.0, specs["depth"])
 
-    keep = np.flatnonzero(valid)
-    descriptors = [row.tobytes() for row in records["descriptor"][keep]]
-    return [Feature(u=fu, v=fv, depth=fd, descriptor=desc, intensity=fi, score=fs)
-            for fu, fv, fd, desc, fi, fs in zip(
-                u[keep].tolist(), v[keep].tolist(), depth[keep].tolist(), descriptors,
-                records["intensity"][keep].tolist(), score[keep].tolist())]
+    decoded = np.zeros(len(records), dtype=RECORD_WITH_DEPTH_DTYPE)
+    decoded["descriptor"] = records["descriptor"]
+    # Each sanitised value is the float32 input, a float32-exact bound or a
+    # float32-exact midpoint, so narrowing back to float32 is lossless.
+    decoded["u"] = u
+    decoded["v"] = v
+    decoded["score"] = score
+    decoded["valid"] = 1
+    decoded["intensity"] = records["intensity"]
+    decoded["depth"] = depth
+    return decoded

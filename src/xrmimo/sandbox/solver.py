@@ -88,14 +88,17 @@ def reprojection_jacobian(rotation_cw, translation_cw, world_points,
 
 
 def solve_pose(correspondences, camera: CameraModel) -> PoseSolveResult:
-    """Camera pose (position, camera-to-world quaternion) from correspondences."""
+    """Camera pose (position, camera-to-world quaternion) from correspondences.
+
+    ``correspondences`` is a ``MATCH_DTYPE`` array; only its ``pixel``,
+    ``depth`` and ``world`` columns are read.
+    """
     n = len(correspondences)
     if n < MIN_FEATURES_FOR_POSE:
         return PoseSolveResult.unsolved()
-    pixels = np.asarray([c.pixel for c in correspondences], dtype=float)
-    depths = np.asarray([c.depth for c in correspondences], dtype=float)
-    world = np.asarray([c.world_point for c in correspondences], dtype=float)
-    cam_pts = camera.back_project(pixels, depths)
+    pixels = correspondences["pixel"]
+    world = correspondences["world"]
+    cam_pts = camera.back_project(pixels, correspondences["depth"])
 
     keep = np.arange(n)
     rotation = translation = None

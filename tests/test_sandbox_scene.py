@@ -8,6 +8,7 @@ from xrmimo.sandbox import (
     Box,
     CameraModel,
     GroundTruthTrajectory,
+    MAX_FEATURES_PER_FRAME,
     MIN_DESCRIPTOR_HAMMING,
     Scene,
     default_bounds,
@@ -44,6 +45,16 @@ def axis_scene(extra_landmarks=()):
 
 
 IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def landmark_ids(scene, records):
+    """Landmark index of each feature record by exact descriptor lookup, -1 if none.
+
+    Scene descriptors are pairwise distinct, so an exact match names one
+    landmark.
+    """
+    hits = (records["descriptor"][:, None, :] == scene.descriptors[None, :, :]).all(axis=2)
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
 
 class TestCamera:
@@ -213,35 +224,51 @@ class TestObserve:
     def test_on_axis_landmark(self, camera):
         scene = axis_scene()
         feats = observe(scene, camera, np.zeros(3), IDENTITY_QUAT)
-        on_axis = [f for f in feats if f.landmark_id == 0]
+        on_axis = feats[landmark_ids(scene, feats) == 0]
         assert len(on_axis) == 1
-        assert on_axis[0].u == pytest.approx(camera.cx)
-        assert on_axis[0].v == pytest.approx(camera.cy)
-        assert on_axis[0].depth == pytest.approx(1.0)
+        assert on_axis["u"][0] == pytest.approx(camera.cx)
+        assert on_axis["v"][0] == pytest.approx(camera.cy)
+        assert on_axis["depth"][0] == pytest.approx(1.0)
 
     def test_landmark_behind_camera_excluded(self, camera):
         scene = axis_scene(extra_landmarks=[[0.0, 0.0, -2.0]])
         feats = observe(scene, camera, np.zeros(3), IDENTITY_QUAT)
-        assert all(f.landmark_id != 4 for f in feats)
+        assert (landmark_ids(scene, feats) != 4).all()
 
     def test_landmark_beyond_depth_range_excluded(self, camera):
         scene = axis_scene(extra_landmarks=[[0.0, 0.0, 20.0], [0.0, 0.0, 0.1]])
         feats = observe(scene, camera, np.zeros(3), IDENTITY_QUAT)
-        ids = {f.landmark_id for f in feats}
+        ids = set(landmark_ids(scene, feats).tolist())
         assert 4 not in ids and 5 not in ids
 
     def test_descriptor_and_intensity_copied(self, camera):
         scene = axis_scene()
         feats = observe(scene, camera, np.zeros(3), IDENTITY_QUAT)
-        for f in feats:
-            assert f.descriptor == scene.descriptors[f.landmark_id].tobytes()
-            assert f.intensity == scene.intensities[f.landmark_id]
+        ids = landmark_ids(scene, feats)
+        assert (ids >= 0).all()
+        assert np.array_equal(feats["descriptor"], scene.descriptors[ids])
+        assert np.array_equal(feats["intensity"], scene.intensities[ids])
+
+    def test_valid_flag_set(self, camera):
+        feats = observe(axis_scene(), camera, np.zeros(3), IDENTITY_QUAT)
+        assert len(feats) == 4
+        assert (feats["valid"] == 1).all()
 
     def test_max_features_prefers_center(self, camera):
-        scene = axis_scene()
-        feats = observe(scene, camera, np.zeros(3), IDENTITY_QUAT, max_features=2)
-        assert len(feats) == 2
-        assert feats[0].landmark_id == 0  # on the optical axis
+        # More landmarks in view than a frame keeps: the on-axis one comes first.
+        rng = np.random.default_rng(19)
+        n_extra = MAX_FEATURES_PER_FRAME + 100
+        extra = np.column_stack([rng.uniform(-1.0, 1.0, n_extra),
+                                 rng.uniform(-0.8, 0.8, n_extra),
+                                 rng.uniform(2.0, 5.0, n_extra)])
+        positions = np.vstack([[0.0, 0.0, 1.0], extra])
+        scene = Scene(positions=positions,
+                      descriptors=rng.integers(0, 256, (n_extra + 1, 32), dtype=np.uint8),
+                      intensities=rng.integers(0, 256, n_extra + 1, dtype=np.uint8),
+                      bounds=Box(lo=np.full(3, -5.0), hi=np.full(3, 5.0)))
+        feats = observe(scene, camera, np.zeros(3), IDENTITY_QUAT)
+        assert len(feats) == MAX_FEATURES_PER_FRAME
+        assert landmark_ids(scene, feats)[0] == 0  # on the optical axis
 
     def test_default_scene_always_has_enough_features(self, camera):
         scene = generate_scene(400, rng=15)
@@ -254,6 +281,4 @@ class TestObserve:
         scene = generate_scene(100, rng=17)
         traj = generate_trajectory(5, rng=18)
         feats = observe(scene, camera, traj.positions[0], traj.quaternions[0])
-        for f in feats:
-            assert f.u == float(np.float32(f.u))
-            assert f.v == float(np.float32(f.v))
+        assert feats.dtype["u"] == np.float32 and feats.dtype["v"] == np.float32

@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from test_sandbox_scene import landmark_ids
 from xrmimo.exceptions import AlignmentError
 from xrmimo.metrics import ate_translation
 from xrmimo.sandbox import (
+    MATCH_DTYPE,
+    RECORD_WITH_DEPTH_DTYPE,
     CameraModel,
-    Correspondence,
     Scene,
     generate_scene,
     generate_trajectory,
@@ -49,10 +51,17 @@ def synthetic_correspondences(rng, n=40, depth_outliers=0):
     depths = pts_cam[:, 2].copy()
     if depth_outliers:
         depths[:depth_outliers] = CAMERA.depth_max
-    matches = [Correspondence(feature_index=i, landmark_index=i, pixel=pixels[i],
-                              depth=float(depths[i]), world_point=world[i])
-               for i in range(len(world))]
-    return matches, position, r_wc
+    return correspondences(pixels, depths, world), position, r_wc
+
+
+def correspondences(pixels, depths, world):
+    """A match array pairing feature i with landmark i."""
+    matches = np.zeros(len(world), dtype=MATCH_DTYPE)
+    matches["feature"] = matches["landmark"] = np.arange(len(world))
+    matches["pixel"] = pixels
+    matches["depth"] = depths
+    matches["world"] = world
+    return matches
 
 
 def rotation_angle(q_a, q_b):
@@ -66,27 +75,27 @@ class TestMatching:
         feats = observe(scene, CAMERA, traj.positions[2], traj.quaternions[2])
         matches = match_features(feats, scene)
         assert len(matches) == len(feats)
-        for m in matches:
-            assert m.landmark_index == feats[m.feature_index].landmark_id
+        truth = landmark_ids(scene, feats)
+        assert (truth >= 0).all()
+        assert np.array_equal(matches["landmark"], truth[matches["feature"]])
 
     def test_heavily_corrupted_descriptor_rejected_or_wrong(self):
         scene = generate_scene(50, rng=2)
         traj = generate_trajectory(5, rng=3)
         feats = observe(scene, CAMERA, traj.positions[0], traj.quaternions[0])
-        feat = feats[0]
-        desc = np.frombuffer(feat.descriptor, dtype=np.uint8).copy()
-        bits = np.unpackbits(desc)
+        landmark = landmark_ids(scene, feats[:1])[0]
+        assert landmark >= 0
+        mangled = feats[:1].copy()
+        bits = np.unpackbits(mangled["descriptor"][0])
         bits[:65] ^= 1  # 65 flips exceeds the acceptance threshold of 64
-        mangled = feat.__class__(u=feat.u, v=feat.v, depth=feat.depth,
-                                 descriptor=np.packbits(bits).tobytes(),
-                                 intensity=feat.intensity, score=feat.score,
-                                 landmark_id=feat.landmark_id)
-        matches = match_features([mangled], scene)
-        assert all(m.landmark_index != feat.landmark_id for m in matches)
+        mangled["descriptor"][0] = np.packbits(bits)
+        matches = match_features(mangled, scene)
+        assert (matches["landmark"] != landmark).all()
 
     def test_empty_input(self):
         scene = generate_scene(10, rng=4)
-        assert match_features([], scene) == []
+        matches = match_features(np.zeros(0, dtype=RECORD_WITH_DEPTH_DTYPE), scene)
+        assert len(matches) == 0 and matches.dtype == MATCH_DTYPE
 
 
 class TestSolvePose:
@@ -118,11 +127,9 @@ class TestSolvePose:
 
     def test_degenerate_geometry_unsolved(self):
         # All correspondences on one line cannot fix a pose.
-        pixel = np.array([320.0, 240.0])
-        matches = [Correspondence(feature_index=i, landmark_index=i, pixel=pixel,
-                                  depth=1.0 + 0.1 * i,
-                                  world_point=np.array([0.0, 0.0, 1.0 + 0.1 * i]))
-                   for i in range(8)]
+        depths = 1.0 + 0.1 * np.arange(8)
+        world = np.column_stack([np.zeros(8), np.zeros(8), depths])
+        matches = correspondences(np.tile([320.0, 240.0], (8, 1)), depths, world)
         result = solve_pose(matches, CAMERA)
         assert not result.solved
 
@@ -132,8 +139,8 @@ class TestJacobian:
         rng = np.random.default_rng(8)
         for _ in range(4):
             matches, _, _ = synthetic_correspondences(rng, n=12)
-            world = np.asarray([m.world_point for m in matches])
-            pixels = np.asarray([m.pixel for m in matches]) + rng.normal(0, 2, (len(matches), 2))
+            world = matches["world"]
+            pixels = matches["pixel"] + rng.normal(0, 2, (len(matches), 2))
             rot = Rotation.from_rotvec(0.2 * rng.standard_normal(3)).as_matrix()
             r_cw = rot @ np.eye(3)
             t_cw = rng.normal(0, 0.1, 3) + np.array([0.0, 0.0, 3.0])
