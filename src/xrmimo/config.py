@@ -280,7 +280,9 @@ def default_config_dict() -> dict:
 
 
 def config_hash(resolved: dict) -> str:
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    """Hash of the settings that shape results; where they are written is left out."""
+    settings = {key: value for key, value in resolved.items() if key != "output_dir"}
+    canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
 
 

@@ -17,6 +17,7 @@ from .modem import qam_ber_approx
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BOLTZMANN_J_K = 1.380649e-23
+SNR_SEARCH_DB = (-30.0, 60.0)
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,7 @@ def required_tx_power(target_snr_db: float, cfg: LinkBudgetConfig | None = None)
     return TxPower(dbm=dbm, mw=10.0 ** (dbm / 10.0))
 
 
-def snr_target_for_ber(ber_target: float, order: int = 64,
-                       lo_db: float = -30.0, hi_db: float = 60.0) -> float:
+def snr_target_for_ber(ber_target: float, order: int = 64) -> float:
     """SNR in dB at which the analytic QAM BER equals ``ber_target``.
 
     Bisection on the nearest-neighbour expression to 0.01 dB.  Raises if
@@ -89,6 +89,7 @@ def snr_target_for_ber(ber_target: float, order: int = 64,
     """
     if not 0.0 < ber_target < 0.5:
         raise ConfigurationError("ber_target must lie in (0, 0.5)")
+    lo_db, hi_db = SNR_SEARCH_DB
     ber_lo = qam_ber_approx(10.0 ** (lo_db / 10.0), order)
     ber_hi = qam_ber_approx(10.0 ** (hi_db / 10.0), order)
     if not ber_hi <= ber_target <= ber_lo:

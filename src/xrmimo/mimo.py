@@ -60,10 +60,8 @@ class ChannelMatrix:
 
 
 def generate_channel(n_antennas: int, n_users: int, n_subcarriers: int = 1,
-                     rng=0, model: str = "iid-rayleigh") -> ChannelMatrix:
-    """Synthetic channel with unit-variance circularly-symmetric Gaussian gains."""
-    if model != "iid-rayleigh":
-        raise ConfigurationError(f"unknown channel model {model!r}")
+                     rng=0) -> ChannelMatrix:
+    """Synthetic i.i.d. Rayleigh channel: unit-variance circularly-symmetric Gaussian gains."""
     if not n_antennas > n_users >= 1:
         raise ConfigurationError(
             f"need antennas > users >= 1, got M={n_antennas}, K={n_users}"
@@ -209,8 +207,9 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
 
     Per SNR point: power control fixes every user's post-equalisation SNR at
     the target, random QAM symbols cross the channel with unit-variance
-    complex AWGN at the antennas, the zero-forcing output is
-    hard-demodulated, and bit errors are pooled across users and
+    complex AWGN at the antennas, the zero-forcing output is decided back
+    to Gray labels, and the bit errors of a symbol, the popcount of the
+    sent label XOR the decided one, are pooled across users and
     subcarriers.  The zero-forcing output x + R^-1 Q^H n is simulated
     directly: Q^H n is K-dimensional white noise, so K noise samples are
     drawn per symbol time instead of M.  Ill-conditioned subcarriers are
@@ -251,13 +250,12 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
         while remaining > 0:
             n_sym = min(chunk_symbols, remaining)
             remaining -= n_sym
-            bits = rng.integers(0, 2, size=(n_sub, n_users, n_sym, const.bits_per_symbol),
+            bits = rng.integers(0, 2, size=(n_sub, n_users, n_sym * const.bits_per_symbol),
                                 dtype=np.uint8)
-            symbols = const.modulate(bits.reshape(-1)).reshape(n_sub, n_users, n_sym)
+            labels = const.labels(bits)
             noise = rng.standard_normal((n_sub, n_users, 2 * n_sym)).view(complex)
-            equalised = symbols + colour @ noise
-            bits_hat = const.demodulate(equalised.reshape(-1))
-            n_errors += int(np.count_nonzero(bits_hat != bits.reshape(-1)))
+            equalised = const.points[labels] + colour @ noise
+            n_errors += int(np.bitwise_count(labels ^ const.decide(equalised)).sum())
             n_bits += bits.size
         points.append(BerPoint(snr_db=snr_db, ber=n_errors / n_bits,
                                n_bits=n_bits, n_errors=n_errors))

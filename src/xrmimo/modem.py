@@ -1,9 +1,9 @@
 """Gray-coded square QAM and analytic AWGN bit-error-rate references.
 
-Constellations are normalised to unit average symbol energy.  Each bit
-group maps axis by axis: the first half selects the in-phase level through
-a reflected Gray code, the second half the quadrature level, so neighbour
-points always differ in exactly one bit.
+Constellations are normalised to unit average symbol energy.  A symbol is
+one uint8 Gray label, its bits read most significant first: the high half
+selects the in-phase level through a reflected Gray code, the low half the
+quadrature level, so neighbour points always differ in exactly one bit.
 
 Two analytic references are provided for hard-decision reception on AWGN:
 
@@ -55,12 +55,9 @@ class QamConstellation:
         self.bits_per_axis = self.bits_per_symbol // 2
         self.levels_per_axis = levels_per_axis
         self._scale = scale
-        self._levels = levels
         gray = _gray_codes(levels_per_axis)
-        self._gray_of_index = gray
-        inverse = np.zeros(levels_per_axis, dtype=np.int64)
-        inverse[gray] = np.arange(levels_per_axis)
-        self._index_of_gray = inverse
+        self._gray_of_index = gray.astype(np.uint8)
+        inverse = np.argsort(gray)
 
         label = np.arange(order)
         gray_i = label >> self.bits_per_axis
@@ -74,33 +71,38 @@ class QamConstellation:
     def min_distance(self) -> float:
         return 2.0 * self._scale
 
+    def labels(self, bits) -> np.ndarray:
+        """Pack each bits_per_symbol 0/1 values of the last axis into one uint8 label."""
+        bit_arr = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
+        bps = self.bits_per_symbol
+        if bit_arr.shape[-1] % bps:
+            raise FramingError(f"bit count {bit_arr.shape[-1]} not divisible by {bps}")
+        groups = bit_arr.reshape(*bit_arr.shape[:-1], -1, bps)
+        packed = groups[..., 0]
+        for j in range(1, bps):
+            packed = (packed << 1) | groups[..., j]
+        return packed
+
+    def decide(self, symbols) -> np.ndarray:
+        """Hard minimum-distance decision of each symbol to its uint8 label, same shape."""
+        gray_i = self._nearest_gray(np.real(symbols))
+        gray_q = self._nearest_gray(np.imag(symbols))
+        return (gray_i << self.bits_per_axis) | gray_q
+
+    def _nearest_gray(self, coords: np.ndarray) -> np.ndarray:
+        n_levels = self.levels_per_axis
+        raw = np.rint((coords / self._scale + (n_levels - 1)) / 2.0)
+        return self._gray_of_index[np.clip(raw, 0, n_levels - 1).astype(np.uint8)]
+
     def modulate(self, bits) -> np.ndarray:
         """Map a flat 0/1 array (length divisible by bits_per_symbol) to symbols."""
-        bit_arr = np.asarray(bits, dtype=np.int64).ravel()
-        if bit_arr.size % self.bits_per_symbol:
-            raise FramingError(
-                f"bit count {bit_arr.size} not divisible by {self.bits_per_symbol}"
-            )
-        if bit_arr.size == 0:
-            return np.empty(0, dtype=complex)
-        groups = bit_arr.reshape(-1, self.bits_per_symbol)
-        weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
-        labels = groups @ weights
-        return self.points[labels]
+        return self.points[self.labels(np.ravel(bits))]
 
     def demodulate(self, symbols) -> np.ndarray:
         """Hard minimum-distance decision back to a flat uint8 bit array."""
-        sym = np.asarray(symbols, dtype=complex).ravel()
-        n_levels = self.levels_per_axis
-        idx_i = self._nearest_level_index(sym.real)
-        idx_q = self._nearest_level_index(sym.imag)
-        labels = (self._gray_of_index[idx_i] << self.bits_per_axis) | self._gray_of_index[idx_q]
-        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        return ((labels[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-
-    def _nearest_level_index(self, coords: np.ndarray) -> np.ndarray:
-        raw = np.rint((coords / self._scale + (self.levels_per_axis - 1)) / 2.0)
-        return np.clip(raw, 0, self.levels_per_axis - 1).astype(np.int64)
+        labels = self.decide(np.ravel(symbols))
+        shifts = np.arange(self.bits_per_symbol - 1, -1, -1, dtype=np.uint8)
+        return ((labels[:, None] >> shifts) & 1).ravel()
 
 
 def qam_ber_approx(snr_linear, order: int = 64):

@@ -17,6 +17,7 @@ from ..seeding import as_generator
 DESCRIPTOR_BYTES = 32
 MIN_DESCRIPTOR_HAMMING = 80
 DEFAULT_BOUNDS_M = (4.2, 2.5, 2.5)
+MAX_ATTEMPTS_PER_LANDMARK = 64
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,8 @@ def descriptor_distances(a, b) -> np.ndarray:
     return out
 
 
-def generate_scene(n_landmarks: int, bounds: Box | None = None, rng=0,
-                   max_attempts_per_landmark: int = 64) -> Scene:
-    """Uniform landmarks with rejection-separated descriptors.
+def generate_scene(n_landmarks: int, rng=0) -> Scene:
+    """Uniform landmarks in the default bounds with rejection-separated descriptors.
 
     Random 256-bit descriptors almost never collide below distance 80, so
     the rejection loop is effectively free; the budget guards pathological
@@ -116,12 +116,12 @@ def generate_scene(n_landmarks: int, bounds: Box | None = None, rng=0,
     """
     if n_landmarks < 4:
         raise ConfigurationError("n_landmarks must be >= 4")
-    bounds = bounds or default_bounds()
+    bounds = default_bounds()
     gen = as_generator(rng)
     positions = gen.uniform(bounds.lo, bounds.hi, size=(n_landmarks, 3))
 
     descriptors = np.empty((n_landmarks, DESCRIPTOR_BYTES), dtype=np.uint8)
-    budget = n_landmarks * max_attempts_per_landmark
+    budget = n_landmarks * MAX_ATTEMPTS_PER_LANDMARK
     accepted = 0
     while accepted < n_landmarks:
         if budget <= 0:

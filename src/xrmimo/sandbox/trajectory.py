@@ -16,7 +16,7 @@ from scipy.spatial.transform import Rotation
 
 from ..exceptions import ConfigurationError, FramingError
 from ..seeding import as_generator
-from .scene import Box, default_bounds
+from .scene import default_bounds
 
 DEFAULT_FRAME_RATE_HZ = 30.0
 
@@ -99,9 +99,8 @@ def _camera_to_world_rotation(yaw: float, pitch: float) -> np.ndarray:
     return np.column_stack([right, down, forward])
 
 
-def generate_trajectory(n_frames: int, bounds: Box | None = None, rng=0,
-                        frame_rate: float = DEFAULT_FRAME_RATE_HZ) -> GroundTruthTrajectory:
-    """Smooth closed loop inside the bounds, camera looking along the path.
+def generate_trajectory(n_frames: int, rng=0) -> GroundTruthTrajectory:
+    """Smooth closed loop inside the default bounds, camera looking along the path.
 
     Position follows a low-order sinusoid (an ellipse with a gentle height
     swell); yaw tracks the travel direction with a slow wobble so the view
@@ -110,9 +109,7 @@ def generate_trajectory(n_frames: int, bounds: Box | None = None, rng=0,
     """
     if n_frames < 2:
         raise ConfigurationError("n_frames must be >= 2")
-    if not frame_rate > 0:
-        raise ConfigurationError("frame_rate must be positive")
-    bounds = bounds or default_bounds()
+    bounds = default_bounds()
     gen = as_generator(rng)
     center = bounds.center
     half = bounds.size / 2.0
@@ -140,7 +137,7 @@ def generate_trajectory(n_frames: int, bounds: Box | None = None, rng=0,
     norms = np.linalg.norm(quaternions, axis=1, keepdims=True)
     quaternions /= norms
 
-    timestamps = np.arange(n_frames) / frame_rate
+    timestamps = np.arange(n_frames) / DEFAULT_FRAME_RATE_HZ
     return GroundTruthTrajectory(timestamps=timestamps, positions=positions,
                                  quaternions=quaternions)
 

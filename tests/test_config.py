@@ -78,6 +78,9 @@ class TestDefaults:
         changed["seed"] = 999
         assert config_hash(changed) != base
 
+    def test_output_dir_does_not_change_hash(self):
+        assert build_config({"output_dir": "a"}).hash == build_config({"output_dir": "b"}).hash
+
 
 class TestValidation:
     def test_unknown_top_level_key(self):

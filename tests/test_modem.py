@@ -56,10 +56,31 @@ class TestConstellation:
         per_symbol = errors.reshape(-1, bps).sum(axis=1)
         assert per_symbol.max() <= 1
 
+    def test_labels_pack_bits_most_significant_first(self, constellation):
+        bps = constellation.bits_per_symbol
+        bits = np.random.default_rng(1).integers(0, 2, (3, 40, bps), dtype=np.uint8)
+        expected = bits @ (1 << np.arange(bps)[::-1])
+        labels = constellation.labels(bits.reshape(3, -1))
+        assert labels.dtype == np.uint8
+        assert np.array_equal(labels, expected)
+
+    def test_decide_points_gives_their_labels(self, constellation):
+        labels = constellation.decide(constellation.points)
+        assert labels.dtype == np.uint8
+        assert np.array_equal(labels, np.arange(constellation.order, dtype=np.uint8))
+
+    def test_decide_keeps_shape(self, constellation):
+        rng = np.random.default_rng(2)
+        symbols = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+        assert constellation.decide(symbols).shape == (2, 3, 5)
+
     def test_framing_error(self, constellation):
         with pytest.raises(FramingError):
             constellation.modulate(np.zeros(constellation.bits_per_symbol + 1,
                                             dtype=np.uint8))
+        with pytest.raises(FramingError):
+            constellation.labels(np.zeros((2, constellation.bits_per_symbol + 1),
+                                          dtype=np.uint8))
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
