@@ -14,8 +14,10 @@ can operate on raw serialized bytes:
 
 A record slot is ``descriptor[32] | u f32 | v f32 | score f32 | valid u8 |
 intensity u8 | reserved u16`` (+ ``depth f64`` for scenario 3); unused
-slots are zero-filled and carry ``valid = 0``.  Decoding sanitises every
-field into its allowed range before use.
+slots are zero-filled and carry ``valid = 0``.  The receiver keeps the
+slots whose ``valid`` byte is non-zero and clamps every field into its
+allowed range, NaN and inf to the range's midpoint, so any byte string of
+the right length decodes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..biterrors import FieldSpec, sanitize_array
 from ..exceptions import ConfigurationError, FramingError
 from ..scenarios import SCENARIO_IDS
 from .camera import CameraModel
@@ -54,14 +55,11 @@ def _patch_stride(camera: CameraModel) -> int:
     return stride
 
 
-def _field_specs(camera: CameraModel) -> dict:
-    return {
-        "u": FieldSpec("float", 0.0, float(camera.width - 1)),
-        "v": FieldSpec("float", 0.0, float(camera.height - 1)),
-        "depth": FieldSpec("float", camera.depth_min, camera.depth_max),
-        "score": FieldSpec("float", 0.0, 1.0),
-        "valid": FieldSpec("int", 0, 1),
-    }
+def _clamp(values, lo: float, hi: float) -> np.ndarray:
+    """Float copy of ``values`` clipped to [lo, hi]; NaN and inf become the midpoint."""
+    arr = np.array(values, dtype=float)
+    arr[~np.isfinite(arr)] = (lo + hi) / 2.0
+    return np.clip(arr, lo, hi)
 
 
 def _build_records(features, dtype) -> np.ndarray:
@@ -129,7 +127,7 @@ def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
 
 
 def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.ndarray:
-    """Sanitised valid records (``RECORD_WITH_DEPTH_DTYPE``) of a possibly corrupted payload.
+    """Clamped valid records (``RECORD_WITH_DEPTH_DTYPE``) of a possibly corrupted payload.
 
     Scenarios 1 and 2 take each record's depth from the depth image at its
     rounded pixel.
@@ -160,24 +158,23 @@ def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.nda
     else:
         raise ConfigurationError(f"unknown scenario {scenario}, expected one of {SCENARIO_IDS}")
 
-    specs = _field_specs(camera)
-    records = records[sanitize_array(records["valid"], specs["valid"]) == 1]
+    records = records[records["valid"] != 0]
     # Corrupted float32 bytes may hold signaling NaNs; widening them trips
-    # the FPU invalid flag even though sanitisation handles them.
+    # the FPU invalid flag even though the clamp handles them.
     with np.errstate(invalid="ignore"):
-        u = sanitize_array(records["u"].astype(float), specs["u"])
-        v = sanitize_array(records["v"].astype(float), specs["v"])
-        score = sanitize_array(records["score"].astype(float), specs["score"])
+        u = _clamp(records["u"], 0.0, float(camera.width - 1))
+        v = _clamp(records["v"], 0.0, float(camera.height - 1))
+        score = _clamp(records["score"], 0.0, 1.0)
     if scenario == 3:
-        depth = sanitize_array(records["depth"], specs["depth"])
+        depth = _clamp(records["depth"], camera.depth_min, camera.depth_max)
     else:
         px = np.clip(np.rint(u), 0, camera.width - 1).astype(int)
         py = np.clip(np.rint(v), 0, camera.height - 1).astype(int)
-        depth = sanitize_array(depth_image[py, px] / 1000.0, specs["depth"])
+        depth = _clamp(depth_image[py, px] / 1000.0, camera.depth_min, camera.depth_max)
 
     decoded = np.zeros(len(records), dtype=RECORD_WITH_DEPTH_DTYPE)
     decoded["descriptor"] = records["descriptor"]
-    # Each sanitised value is the float32 input, a float32-exact bound or a
+    # Each clamped value is the float32 input, a float32-exact bound or a
     # float32-exact midpoint, so narrowing back to float32 is lossless.
     decoded["u"] = u
     decoded["v"] = v

@@ -1,19 +1,17 @@
-"""Bit-error injection and sanitisation tests."""
+"""Bit-error injection tests, and the receiver's range clamp."""
+
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from xrmimo.biterrors import (
-    FieldSpec,
-    _first_occurrences,
-    corrupt,
-    flip_bits,
-    sample_error_count,
-    sample_flip_positions,
-    sanitize_array,
-)
+from xrmimo.biterrors import corrupt, flip_bits, sample_error_count, sample_flip_positions
+from xrmimo.sandbox import FEATURE_SLOTS, RECORD_WITH_DEPTH_DTYPE, CameraModel, decode_payload
+from xrmimo.sandbox.payload import _clamp
 
 
 # Reference implementations the library is checked against.
@@ -27,35 +25,12 @@ def hamming_distance(a: bytes, b: bytes) -> int:
     return int(np.bitwise_count(xa ^ xb).sum())
 
 
-def sanitize_field(value, spec: FieldSpec):
-    """Clamp one decoded value into its allowed range; NaN/inf become the midpoint."""
-    if spec.kind == "int":
-        return int(min(max(int(value), int(spec.minimum)), int(spec.maximum)))
+def sanitize_field(value, lo: float, hi: float) -> float:
+    """Clamp one decoded value into [lo, hi]; NaN/inf become the midpoint."""
     v = float(value)
     if not np.isfinite(v):
-        return float(spec.midpoint)
-    return float(min(max(v, spec.minimum), spec.maximum))
-
-
-def unique_based_flip_positions(n_bits: int, k: int, gen) -> np.ndarray:
-    """Reference sampler: the same batched draws, deduplicated by ``np.unique``."""
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    if k == n_bits:
-        return np.arange(n_bits, dtype=np.int64)
-    if k > n_bits // 2:
-        drop = unique_based_flip_positions(n_bits, n_bits - k, gen)
-        mask = np.ones(n_bits, dtype=bool)
-        mask[drop] = False
-        return np.flatnonzero(mask).astype(np.int64)
-    collected = np.empty(0, dtype=np.int64)
-    while collected.size < k:
-        batch = gen.integers(0, n_bits, size=max(16, int(1.2 * (k - collected.size))),
-                             dtype=np.int64)
-        merged = np.concatenate([collected, batch])
-        _, first_index = np.unique(merged, return_index=True)
-        collected = merged[np.sort(first_index)]
-    return collected[:k]
+        return (lo + hi) / 2.0
+    return float(min(max(v, lo), hi))
 
 
 class TestSampleErrorCount:
@@ -99,38 +74,17 @@ class TestFlipBits:
 
     def test_positions_distinct_and_in_range(self):
         rng = np.random.default_rng(3)
-        for n, k in ((100, 99), (100, 50), (10_000, 3)):
+        for n, k in ((100, 99), (100, 50), (10_000, 3), (8, 1), (37, 5), (1000, 499),
+                     (1000, 501), (1000, 999), (64, 31),
+                     (7_372_800, 74_000),     # scenario 1 payload at BER ~1e-2
+                     (2**62, 20),             # positions beyond 32 bits
+                     (7_372_800, 3_686_400)):  # scenario 1 payload at BER 0.5
             pos = sample_flip_positions(n, k, rng)
-            assert len(np.unique(pos)) == k
-            assert pos.min() >= 0 and pos.max() < n
-
-    @pytest.mark.parametrize("n_bits, k, seed", [
-        (8, 1, 0),
-        (37, 5, 1),
-        (1000, 499, 2),      # just under n // 2
-        (1000, 501, 3),      # complement path
-        (1000, 999, 4),      # complement of a single drop
-        (64, 31, 0),         # the first batch holds only 24 distinct positions
-        (7_372_800, 74_000, 6),  # scenario 1 payload at BER ~1e-2
-        (2**62, 20, 7),      # position and index keys would overflow int64
-    ])
-    def test_matches_unique_based_reference(self, n_bits, k, seed):
-        expected = unique_based_flip_positions(n_bits, k, np.random.default_rng(seed))
-        actual = sample_flip_positions(n_bits, k, np.random.default_rng(seed))
-        assert actual.dtype == np.int64
-        assert np.array_equal(actual, expected)
-
-    @pytest.mark.parametrize("values, n_values", [
-        ([3, 1, 3, 0, 1, 3], 4),         # the largest value repeats last
-        ([0, 0, 0], 1),
-        (np.random.default_rng(8).integers(0, 50, 1000), 50),
-        ([1, 1 + 2**62, 1, 7], 2**63),   # a shifted key would lose the top bit
-    ])
-    def test_first_occurrences_match_unique(self, values, n_values):
-        values = np.asarray(values, dtype=np.int64)
-        expected = np.zeros(values.size, dtype=bool)
-        expected[np.unique(values, return_index=True)[1]] = True
-        assert np.array_equal(_first_occurrences(values, n_values), expected)
+            assert pos.dtype == np.int64
+            assert pos.shape == (k,)
+            ordered = np.sort(pos)
+            assert (np.diff(ordered) > 0).all()
+            assert ordered[0] >= 0 and ordered[-1] < n
 
     def test_single_flip_uniformity(self):
         """Each of the 8 positions of a 1-byte payload drawn ~uniformly."""
@@ -140,6 +94,19 @@ class TestFlipBits:
         for _ in range(trials):
             counts[sample_flip_positions(8, 1, rng)[0]] += 1
         assert np.abs(counts - trials / 8).max() <= 400
+
+    def test_subset_uniformity(self):
+        """Each of the 10 two-bit subsets of a 5-bit payload drawn ~uniformly."""
+        rng = np.random.default_rng(9)
+        trials = 50_000
+        counts = Counter(tuple(sorted(sample_flip_positions(5, 2, rng).tolist()))
+                         for _ in range(trials))
+        subsets = list(combinations(range(5), 2))
+        assert set(counts) <= set(subsets)
+        observed = np.array([counts[subset] for subset in subsets])
+        expected = trials / len(subsets)
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert statistic < chi2.ppf(0.999, df=len(subsets) - 1)
 
 
 class TestCorrupt:
@@ -172,41 +139,42 @@ class TestCorrupt:
         assert a == b
 
 
+def clamp_one(value, lo: float, hi: float) -> float:
+    return float(_clamp([value], lo, hi)[0])
+
+
 class TestSanitize:
     def test_clamp_low(self):
-        spec = FieldSpec("float", 0.3, 10.0)
-        assert sanitize_field(-3.2, spec) == 0.3
+        assert sanitize_field(-3.2, 0.3, 10.0) == 0.3
+        assert clamp_one(-3.2, 0.3, 10.0) == 0.3
 
     def test_nan_to_midpoint(self):
-        spec = FieldSpec("float", 0.0, 639.0)
-        assert sanitize_field(float("nan"), spec) == 319.5
+        assert sanitize_field(float("nan"), 0.0, 639.0) == 319.5
+        assert clamp_one(float("nan"), 0.0, 639.0) == 319.5
 
     def test_in_range_unchanged(self):
-        spec = FieldSpec("float", 0.0, 639.0)
-        assert sanitize_field(123.25, spec) == 123.25
-
-    def test_int_clamp(self):
-        spec = FieldSpec("int", 0, 1)
-        assert sanitize_field(200, spec) == 1
-        assert sanitize_field(-5, spec) == 0
-        assert sanitize_field(1, spec) == 1
+        assert sanitize_field(123.25, 0.0, 639.0) == 123.25
+        assert clamp_one(123.25, 0.0, 639.0) == 123.25
 
     @settings(max_examples=200, deadline=None)
     @given(value=st.floats(allow_nan=True, allow_infinity=True, width=64))
     def test_idempotent_and_in_range(self, value):
-        spec = FieldSpec("float", -2.5, 7.5)
-        out = sanitize_field(value, spec)
-        assert spec.minimum <= out <= spec.maximum
-        assert sanitize_field(out, spec) == out
+        out = sanitize_field(value, -2.5, 7.5)
+        assert -2.5 <= out <= 7.5
+        assert sanitize_field(out, -2.5, 7.5) == out
+        assert clamp_one(value, -2.5, 7.5) == out
 
     def test_array_agrees_with_scalar(self):
-        spec = FieldSpec("float", 0.0, 1.0)
         values = [0.5, -1.0, 2.0, float("nan"), float("inf"), float("-inf")]
-        vec = sanitize_array(values, spec)
-        assert list(vec) == [sanitize_field(v, spec) for v in values]
+        vec = _clamp(values, 0.0, 1.0)
+        assert list(vec) == [sanitize_field(v, 0.0, 1.0) for v in values]
 
-    def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            FieldSpec("float", 2.0, 1.0)
-        with pytest.raises(ValueError):
-            FieldSpec("bytes", 0.0, 1.0)
+    @pytest.mark.parametrize("valid_byte", [0, 1, 2, 128, 255])
+    def test_any_nonzero_valid_byte_decodes(self, valid_byte):
+        records = np.zeros(FEATURE_SLOTS, dtype=RECORD_WITH_DEPTH_DTYPE)
+        records[0]["u"], records[0]["v"], records[0]["depth"] = 10.0, 20.0, 1.5
+        records[0]["valid"] = valid_byte
+        decoded = decode_payload(records.tobytes(), 3, CameraModel())
+        assert len(decoded) == (valid_byte != 0)
+        assert (decoded["valid"] == 1).all()
+        assert (decoded["depth"] == 1.5).all()

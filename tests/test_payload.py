@@ -123,9 +123,9 @@ class TestDepthImage:
 # descriptor bytes) for one observed frame through encode, corrupt at BER
 # 1e-3 and decode; pins the codec path bit for bit.
 CODEC_GOLDEN = {
-    1: (62, "65d82be688707fc3768bc991ff220b32f69c4f46202926bddf4b4bd04d8c6a02"),
-    2: (62, "5d343c2edb192cd407e804780a030555602193794d0b71410ebabbadd5f13b30"),
-    3: (64, "caa5ebd9bfa4ce4c26b8ff02c64c629677bd61fb504b90c6c370b34c18bbfd51"),
+    1: (59, "ea3957511a6f9da8b8154f337d3384faa9801d27e000602e35b39588574ae87b"),
+    2: (65, "492c681f2da9914739b0a254b79bca381df9fc77ee5fc7d581cef66a47c0cd5e"),
+    3: (59, "7b1d0a70c8ab71ebcdd88c5e7df87d6d11f54fdb1539e9c95bd2e22514fd2c12"),
 }
 
 

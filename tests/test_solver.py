@@ -208,8 +208,8 @@ class TestPipeline:
         with pytest.raises(AlignmentError):
             ate_translation(estimate, traj)
 
-    # Scenarios 1 and 2 near BER 0.5 take about 2 s a frame (a dense flip
-    # draw), so the examples are few and fixed to bound the test's time;
+    # Scenarios 1 and 2 near BER 0.5 take about 0.2-0.3 s a frame (a dense
+    # flip draw), so the examples are few and fixed to bound the test's time;
     # the explicit example pins that worst case.
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(scenario=st.integers(1, 3), ber=st.floats(0.0, 0.5),
