@@ -54,7 +54,8 @@ def umeyama_align(estimated, ground_truth, with_scale: bool = True):
     Returns (rotation, translation, scale) minimising
     sum ||gt_i - (s R est_i + t)||^2, with the usual SVD reflection
     correction.  Raises AlignmentError for fewer than 3 points or a
-    configuration of rank < 2 (collinear or coincident points).
+    configuration of rank < 2 (collinear or coincident points).  This is
+    the one-set call of ``umeyama_align_stacked``.
     """
     est = np.asarray(estimated, dtype=float)
     gt = np.asarray(ground_truth, dtype=float)
@@ -63,23 +64,42 @@ def umeyama_align(estimated, ground_truth, with_scale: bool = True):
     n = est.shape[0]
     if n < 3:
         raise AlignmentError(f"need at least 3 correspondences, got {n}")
-
-    mu_est = est.mean(axis=0)
-    mu_gt = gt.mean(axis=0)
-    centred_est = est - mu_est
-    centred_gt = gt - mu_gt
-    var_est = float(np.mean(np.sum(centred_est**2, axis=1)))
-    cov = centred_gt.T @ centred_est / n
-    u, d, vt = np.linalg.svd(cov)
-    if var_est <= 0 or d[1] <= _DEGENERACY_RTOL * max(d[0], np.finfo(float).tiny):
+    rotation, translation, scale, degenerate = umeyama_align_stacked(
+        est[None], gt[None], np.ones((1, n), dtype=bool), with_scale)
+    if degenerate[0]:
         raise AlignmentError("degenerate point configuration (rank < 2)")
-    sign = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign[2, 2] = -1.0
-    rotation = u @ sign @ vt
-    scale = float(np.trace(np.diag(d) @ sign) / var_est) if with_scale else 1.0
-    translation = mu_gt - scale * (rotation @ mu_est)
-    return rotation, translation, scale
+    return rotation[0], translation[0], float(scale[0])
+
+
+def umeyama_align_stacked(estimated, ground_truth, valid, with_scale: bool = True):
+    """``umeyama_align`` over a stack of point sets padded to one length.
+
+    ``estimated`` and ``ground_truth`` are (B, N, 3) and ``valid`` (B, N)
+    marks each set's points; every set needs at least one.  Returns
+    rotations (B, 3, 3), translations (B, 3), scales (B,) and a (B,) flag
+    for sets of rank < 2, whose transforms are meaningless.  Each set's
+    result depends on its valid points alone: the others enter every sum
+    as zeros, and no sum runs along the point axis as its innermost one.
+    """
+    mask = valid[..., None]
+    counts = np.count_nonzero(valid, axis=1)[:, None]
+    mu_est = np.where(mask, estimated, 0.0).sum(axis=1) / counts
+    mu_gt = np.where(mask, ground_truth, 0.0).sum(axis=1) / counts
+    centred_est = np.where(mask, estimated - mu_est[:, None], 0.0)
+    centred_gt = np.where(mask, ground_truth - mu_gt[:, None], 0.0)
+    var_est = (centred_est**2).sum(axis=1).sum(axis=1) / counts[:, 0]
+    cov = np.einsum("bni,bnj->bij", centred_gt, centred_est) / counts[:, :, None]
+    u, d, vt = np.linalg.svd(cov)
+    degenerate = (var_est <= 0) | (
+        d[:, 1] <= _DEGENERACY_RTOL * np.maximum(d[:, 0], np.finfo(float).tiny))
+    sign = np.ones_like(d)
+    sign[np.linalg.det(u) * np.linalg.det(vt) < 0, 2] = -1.0
+    rotation = np.einsum("bij,bjk->bik", u * sign[:, None, :], vt)
+    scale = np.ones(len(d))
+    if with_scale:
+        np.divide((d * sign).sum(axis=1), var_est, out=scale, where=~degenerate)
+    translation = mu_gt - scale[:, None] * np.einsum("bij,bj->bi", rotation, mu_est)
+    return rotation, translation, scale, degenerate
 
 
 def _nearest_timestamps(reference: np.ndarray, queries: np.ndarray):

@@ -32,6 +32,7 @@ from .solver import (
     reprojection_jacobian,
     reprojection_residuals,
     solve_pose,
+    solve_poses,
 )
 from .trajectory import (
     GroundTruthTrajectory,
@@ -70,5 +71,6 @@ __all__ = [
     "reprojection_residuals",
     "run_pipeline",
     "solve_pose",
+    "solve_poses",
     "write_trajectory_file",
 ]

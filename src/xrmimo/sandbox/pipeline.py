@@ -2,8 +2,10 @@
 
 Per frame: observe the scene, serialize the scenario payload, inject
 binomial bit errors on the wire bytes, decode with range sanitisation,
-match descriptors against the known map, and solve the camera pose.
-Frames are independent given their derived random streams.
+and match descriptors against the known map.  Then the camera poses of
+the whole trajectory are solved in one stacked pass.  Frames are
+independent given their derived random streams, and a frame's pose does
+not depend on the other frames it is solved with.
 """
 
 from __future__ import annotations
@@ -14,11 +16,15 @@ from ..biterrors import corrupt
 from ..seeding import seed_sequence
 from .camera import CameraModel
 from .features import MIN_FEATURES_FOR_POSE, observe
-from .matching import match_features
+from .matching import MATCH_DTYPE, match_features
 from .payload import decode_payload, encode_payload
 from .scene import Scene
-from .solver import PoseSolveResult, solve_pose
+# ``solve_pose`` is not called here; perfbench replays the pipeline per
+# frame through this module's stage functions, ``solve_pose`` among them.
+from .solver import solve_pose, solve_poses  # noqa: F401
 from .trajectory import GroundTruthTrajectory, TrajectoryEstimate
+
+_NO_MATCHES = np.zeros(0, dtype=MATCH_DTYPE)
 
 
 def run_pipeline(scene: Scene, camera: CameraModel, trajectory: GroundTruthTrajectory,
@@ -31,26 +37,18 @@ def run_pipeline(scene: Scene, camera: CameraModel, trajectory: GroundTruthTraje
     n = trajectory.n_frames
     frame_streams = seed_sequence(rng).spawn(n)
 
-    positions = np.full((n, 3), np.nan)
-    quaternions = np.tile(np.array([0.0, 0.0, 0.0, 1.0]), (n, 1))
-    inliers = np.zeros(n, dtype=int)
-    solved = np.zeros(n, dtype=bool)
-
+    correspondences = []
     for i in range(n):
         features = observe(scene, camera, trajectory.positions[i], trajectory.quaternions[i])
         if len(features) < MIN_FEATURES_FOR_POSE:
+            correspondences.append(_NO_MATCHES)
             continue
         payload = encode_payload(features, scenario, camera)
         gen = np.random.default_rng(frame_streams[i])
         received = corrupt(payload, ber, gen)
         decoded = decode_payload(received, scenario, camera)
-        matches = match_features(decoded, scene)
-        result: PoseSolveResult = solve_pose(matches, camera)
-        if result.solved:
-            positions[i] = result.position
-            quaternions[i] = result.quaternion
-            inliers[i] = result.n_inliers
-            solved[i] = True
+        correspondences.append(match_features(decoded, scene))
+    solved, positions, quaternions, inliers = solve_poses(correspondences, camera)
 
     return TrajectoryEstimate(
         timestamps=trajectory.timestamps.copy(),

@@ -130,10 +130,9 @@ def generate_trajectory(n_frames: int, rng=0) -> GroundTruthTrajectory:
     yaw += 0.15 * np.sin(3.0 * theta + wobble_phase)
     pitch = 0.08 * np.sin(2.0 * theta + wobble_phase)
 
-    quaternions = np.empty((n_frames, 4))
-    for i in range(n_frames):
-        r_wc = _camera_to_world_rotation(float(yaw[i]), float(pitch[i]))
-        quaternions[i] = Rotation.from_matrix(r_wc).as_quat()
+    r_wc = np.stack([_camera_to_world_rotation(float(yaw[i]), float(pitch[i]))
+                     for i in range(n_frames)])
+    quaternions = Rotation.from_matrix(r_wc).as_quat()
     norms = np.linalg.norm(quaternions, axis=1, keepdims=True)
     quaternions /= norms
 

@@ -1,5 +1,7 @@
 """Scene, camera, trajectory, and observation tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,21 @@ class TestTrajectory:
         b = generate_trajectory(30, rng=13)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.quaternions, b.quaternions)
+
+    # sha256 of the positions and quaternions bytes of 100-frame trajectories,
+    # pinned when the quaternions were still converted one frame at a time.
+    @pytest.mark.parametrize("seed,positions,quaternions", [
+        (0, "90006a5021619e73e5dd1bd03cf9e91da3500a57c2609d94035fc84312b60b14",
+         "ee31db1c4084407e167399c9d9f73f9e4ae41c05e0423cc15aa073f03446e8f1"),
+        (1, "2a6471cf146cb6d6e04806b76603d1330dc5933e419d655c7a90994c8f189b5c",
+         "013fa0797217ab0185ae5e6fd82488f13b39f7fb1a2c397bb397b22371ff7867"),
+        (12345, "26bf78d1b8599bbc28b77510f0a925909102a11b87217d3b0a9d2e71c8221869",
+         "f37adc83524a7a3d68c366d182676db3b7b174b602910a94e802934e8662dbeb"),
+    ])
+    def test_pinned_bytes(self, seed, positions, quaternions):
+        traj = generate_trajectory(100, rng=seed)
+        assert hashlib.sha256(traj.positions.tobytes()).hexdigest() == positions
+        assert hashlib.sha256(traj.quaternions.tobytes()).hexdigest() == quaternions
 
     def test_file_round_trip_exact(self, tmp_path):
         traj = generate_trajectory(25, rng=14)

@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from test_sandbox_scene import landmark_ids
+from xrmimo.biterrors import corrupt
 from xrmimo.exceptions import AlignmentError
 from xrmimo.metrics import ate_translation
 from xrmimo.sandbox import (
     MATCH_DTYPE,
     RECORD_WITH_DEPTH_DTYPE,
+    MIN_FEATURES_FOR_POSE,
     CameraModel,
     Scene,
+    TrajectoryEstimate,
+    decode_payload,
+    encode_payload,
     generate_scene,
     generate_trajectory,
     match_features,
@@ -22,8 +27,11 @@ from xrmimo.sandbox import (
     reprojection_residuals,
     run_pipeline,
     solve_pose,
+    solve_poses,
 )
 from xrmimo.sandbox.scene import Box
+from xrmimo.sandbox.solver import SOLVE_CHUNK_FRAMES
+from xrmimo.seeding import seed_sequence
 
 CAMERA = CameraModel()
 
@@ -126,12 +134,110 @@ class TestSolvePose:
         assert not result.solved
 
     def test_degenerate_geometry_unsolved(self):
-        # All correspondences on one line cannot fix a pose.
-        depths = 1.0 + 0.1 * np.arange(8)
-        world = np.column_stack([np.zeros(8), np.zeros(8), depths])
-        matches = correspondences(np.tile([320.0, 240.0], (8, 1)), depths, world)
-        result = solve_pose(matches, CAMERA)
+        result = solve_pose(collinear_frame(), CAMERA)
         assert not result.solved
+
+
+def collinear_frame():
+    """All correspondences on one line cannot fix a pose."""
+    depths = 1.0 + 0.1 * np.arange(8)
+    world = np.column_stack([np.zeros(8), np.zeros(8), depths])
+    return correspondences(np.tile([320.0, 240.0], (8, 1)), depths, world)
+
+
+def trimmed_below_minimum_frame():
+    """Five correspondences, two with bad depths: trimming leaves three."""
+    matches, _, _ = synthetic_correspondences(np.random.default_rng(23), n=5, depth_outliers=2)
+    return matches
+
+
+def behind_camera_frame(rng, n=30):
+    """A well-posed alignment whose points all lie behind the camera."""
+    pts_cam = np.column_stack([rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
+                               rng.uniform(-3.0, -1.0, n)])
+    position, r_wc = random_pose(rng)
+    return correspondences(CAMERA.project(pts_cam), pts_cam[:, 2], pts_cam @ r_wc.T + position)
+
+
+# Four points on the optical axis in front of the camera and four behind it,
+# camera at the world origin.  Every number is exact, so the alignment is
+# exactly the identity.  Only the points in front enter Gauss-Newton, and on
+# the optical axis their Jacobian columns for rotation about and translation
+# along that axis are zero: the normal equations are exactly singular.
+SINGULAR_POINTS = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 4.0],
+                            [2.0, 0.0, -4.0], [-2.0, 0.0, -4.0], [0.0, 1.0, -4.0],
+                            [0.0, -1.0, -4.0]])
+
+
+def singular_normal_equations_frame():
+    return correspondences(CAMERA.project(SINGULAR_POINTS), SINGULAR_POINTS[:, 2],
+                           SINGULAR_POINTS)
+
+
+def noisy_frame(rng, n):
+    """Correspondences with pixel noise, gross pixel outliers and bad depths."""
+    matches, _, _ = synthetic_correspondences(rng, n=n, depth_outliers=n // 10)
+    matches["pixel"] += rng.normal(0.0, 1.5, matches["pixel"].shape)
+    matches["pixel"][-(len(matches) // 8):] += 40.0
+    return matches
+
+
+def mixed_batch():
+    """Good frames from 4 to about 150 correspondences, with the failure cases between them."""
+    rng = np.random.default_rng(20)
+    clean, _, _ = synthetic_correspondences(rng, n=10)
+    specials = {
+        "four matches": clean[:4],
+        "three matches": clean[:3],
+        "collinear": collinear_frame(),
+        "trimmed below 4": trimmed_below_minimum_frame(),
+        "behind camera": behind_camera_frame(rng),
+        "singular": singular_normal_equations_frame(),
+    }
+    frames, names = [], []
+    sizes = [6, 8, 12, 20, 35, 60, 100, 160, 200]
+    for i in range(2 * SOLVE_CHUNK_FRAMES + 8):
+        if i % 11 == 5 and specials:
+            name, frame = specials.popitem()
+        else:
+            name, frame = "good", noisy_frame(rng, sizes[i % len(sizes)])
+        frames.append(frame)
+        names.append(name)
+    return frames, names
+
+
+class TestStackedSolve:
+    def test_failure_cases_are_what_they_say(self):
+        assert not solve_pose(trimmed_below_minimum_frame(), CAMERA).solved
+        assert len(trimmed_below_minimum_frame()) == 5
+        assert not solve_pose(behind_camera_frame(np.random.default_rng(21)), CAMERA).solved
+        jac = reprojection_jacobian(np.eye(3), np.zeros(3), SINGULAR_POINTS[:4], CAMERA)
+        assert not jac[:, :, [2, 5]].any()
+        # A singular frame keeps its aligned pose, here the world origin.
+        result = solve_pose(singular_normal_equations_frame(), CAMERA)
+        assert result.solved and result.n_inliers == 8
+        assert np.array_equal(result.position, np.zeros(3))
+
+    def test_frame_alone_equals_its_row_of_a_mixed_batch(self):
+        frames, names = mixed_batch()
+        assert {len(f) for f in frames if len(f) >= 4} >= {4, 5, 8}
+        assert max(len(f) for f in frames) >= 140
+        solved, positions, quaternions, n_inliers = solve_poses(frames, CAMERA)
+        assert solved[[n == "good" for n in names]].all()
+        assert set(names) == {"good", "four matches", "three matches", "collinear",
+                              "trimmed below 4", "behind camera", "singular"}
+        for i, (frame, name) in enumerate(zip(frames, names)):
+            alone = solve_pose(frame, CAMERA)
+            assert alone.solved == (name in ("good", "four matches", "singular")), name
+            assert np.bool_(alone.solved).tobytes() == solved[i].tobytes(), (i, name)
+            assert alone.position.tobytes() == positions[i].tobytes(), (i, name)
+            assert alone.quaternion.tobytes() == quaternions[i].tobytes(), (i, name)
+            assert np.int64(alone.n_inliers).tobytes() == n_inliers[i].tobytes(), (i, name)
+
+    def test_empty_batch(self):
+        solved, positions, quaternions, n_inliers = solve_poses([], CAMERA)
+        assert solved.shape == (0,) and positions.shape == (0, 3)
+        assert quaternions.shape == (0, 4) and n_inliers.shape == (0,)
 
 
 class TestJacobian:
@@ -167,7 +273,64 @@ def world():
     return scene, traj
 
 
+def replay_pipeline(scene, camera, trajectory, scenario, ber, rng):
+    """``run_pipeline`` stage by stage, solving each frame alone with ``solve_pose``."""
+    n = trajectory.n_frames
+    frame_streams = seed_sequence(rng).spawn(n)
+    positions = np.full((n, 3), np.nan)
+    quaternions = np.tile(np.array([0.0, 0.0, 0.0, 1.0]), (n, 1))
+    inliers = np.zeros(n, dtype=int)
+    solved = np.zeros(n, dtype=bool)
+    for i in range(n):
+        features = observe(scene, camera, trajectory.positions[i], trajectory.quaternions[i])
+        if len(features) < MIN_FEATURES_FOR_POSE:
+            continue
+        payload = encode_payload(features, scenario, camera)
+        received = corrupt(payload, ber, np.random.default_rng(frame_streams[i]))
+        matches = match_features(decode_payload(received, scenario, camera), scene)
+        result = solve_pose(matches, camera)
+        if result.solved:
+            positions[i] = result.position
+            quaternions[i] = result.quaternion
+            inliers[i] = result.n_inliers
+            solved[i] = True
+    return TrajectoryEstimate(timestamps=trajectory.timestamps.copy(), positions=positions,
+                              quaternions=quaternions, inlier_counts=inliers, solved=solved)
+
+
+def assert_same_bytes(estimate, reference):
+    for name in ("positions", "quaternions", "inlier_counts", "solved"):
+        assert getattr(estimate, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+def invisible_scene():
+    """Landmarks clustered behind the camera path: every frame degenerate."""
+    bounds = Box(lo=np.array([-10.0, -10.0, -10.0]), hi=np.array([10.0, 10.0, 10.0]))
+    rng = np.random.default_rng(14)
+    return Scene(
+        positions=np.full((4, 3), [-9.0, -9.0, -9.0]) + 0.1 * rng.random((4, 3)),
+        descriptors=rng.integers(0, 256, (4, 32), dtype=np.uint8),
+        intensities=rng.integers(0, 256, 4, dtype=np.uint8),
+        bounds=bounds,
+    )
+
+
 class TestPipeline:
+    # The stacked solve must give each frame the bits of solving it alone,
+    # which is what the benchmark's per-frame replay checks on one seed.
+    @pytest.mark.parametrize("seed", [31, 32])
+    @pytest.mark.parametrize("ber", [0.0, 1e-5, 1e-3, 1e-2, 0.3])
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_equals_per_frame_replay(self, world, scenario, ber, seed):
+        scene, _ = world
+        traj = generate_trajectory(20, rng=seed)
+        estimate = run_pipeline(scene, CAMERA, traj, scenario, ber, rng=seed)
+        assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, scenario, ber, seed))
+
+    def test_invisible_scene_equals_per_frame_replay(self):
+        scene, traj = invisible_scene(), generate_trajectory(10, rng=15)
+        estimate = run_pipeline(scene, CAMERA, traj, 3, 0.0, rng=16)
+        assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, 3, 0.0, 16))
 
     def test_noise_free_matches_ground_truth(self, world):
         scene, traj = world
@@ -193,15 +356,7 @@ class TestPipeline:
         assert np.array_equal(a.inlier_counts, b.inlier_counts)
 
     def test_invisible_scene_all_unsolved(self):
-        # Landmarks clustered behind the camera path: every frame degenerate.
-        bounds = Box(lo=np.array([-10.0, -10.0, -10.0]), hi=np.array([10.0, 10.0, 10.0]))
-        rng = np.random.default_rng(14)
-        scene = Scene(
-            positions=np.full((4, 3), [-9.0, -9.0, -9.0]) + 0.1 * rng.random((4, 3)),
-            descriptors=rng.integers(0, 256, (4, 32), dtype=np.uint8),
-            intensities=rng.integers(0, 256, 4, dtype=np.uint8),
-            bounds=bounds,
-        )
+        scene = invisible_scene()
         traj = generate_trajectory(10, rng=15)
         estimate = run_pipeline(scene, CAMERA, traj, 3, 0.0, rng=16)
         assert estimate.n_unsolved == 10
