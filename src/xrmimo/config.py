@@ -251,8 +251,8 @@ SCHEMA = {
             "temperature_k": (_float(above=0.0), _BUDGET.temperature_k),
             "noise_figure_db": (_float(), _BUDGET.noise_figure_db),
             "fading_margin_db": (_float(), _BUDGET.fading_margin_db),
-            "antennas": (_int(minimum=1), _BUDGET.n_antennas),
-            "users": (_int(minimum=1), _BUDGET.n_users),
+            "antennas": (_int(minimum=1), _BUDGET.antennas),
+            "users": (_int(minimum=1), _BUDGET.users),
             "array_gain_db": (_optional(_float()), _BUDGET.array_gain_db),
         },
     },
@@ -272,11 +272,6 @@ def _resolve(schema: dict, raw, path: str) -> dict:
             check, default = spec
             out[key] = check(raw.get(key, default), sub)
     return out
-
-
-def default_config_dict() -> dict:
-    """Fully resolved defaults; every study can run from these alone."""
-    return _resolve(SCHEMA, {}, "<config>")
 
 
 def config_hash(resolved: dict) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,16 +36,10 @@ class SymbolRole(str, enum.Enum):
 
 
 def _direction_role(direction) -> SymbolRole:
-    if isinstance(direction, SymbolRole):
-        if direction in (SymbolRole.UPLINK_DATA, SymbolRole.DOWNLINK_DATA):
-            return direction
+    role = SymbolRole(direction)
+    if role not in (SymbolRole.UPLINK_DATA, SymbolRole.DOWNLINK_DATA):
         raise ConfigurationError(f"not a data direction: {direction}")
-    key = str(direction).lower()
-    if key in ("ul", "uplink"):
-        return SymbolRole.UPLINK_DATA
-    if key in ("dl", "downlink"):
-        return SymbolRole.DOWNLINK_DATA
-    raise ConfigurationError(f"unknown direction {direction!r}, expected 'ul' or 'dl'")
+    return role
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class FrameStructure:
     def __post_init__(self):
         layout = tuple(SymbolRole(role) for role in self.layout)
         object.__setattr__(self, "layout", layout)
-        if self.n_ul_symb < 1 or self.n_dl_symb < 1:
+        if self.n_direction_symbols("ul") < 1 or self.n_direction_symbols("dl") < 1:
             raise ConfigurationError(
                 f"layout of {self.name!r} needs at least one uplink and one downlink symbol"
             )
@@ -76,14 +69,6 @@ class FrameStructure:
     @property
     def n_symb(self) -> int:
         return len(self.layout)
-
-    @property
-    def n_ul_symb(self) -> int:
-        return sum(1 for r in self.layout if r is SymbolRole.UPLINK_DATA)
-
-    @property
-    def n_dl_symb(self) -> int:
-        return sum(1 for r in self.layout if r is SymbolRole.DOWNLINK_DATA)
 
     def n_direction_symbols(self, direction) -> int:
         role = _direction_role(direction)
@@ -99,10 +84,7 @@ def symbols_per_pose(payload_bits: int, fs: FrameStructure) -> int:
     """Number of OFDM data symbols needed for one payload."""
     if payload_bits < 1:
         raise ValueError("payload_bits must be >= 1")
-    capacity = fs.bits_per_data_symbol
-    if capacity <= 0:
-        raise ConfigurationError("frame structure has zero data capacity per symbol")
-    return -(-payload_bits // capacity)
+    return -(-payload_bits // fs.bits_per_data_symbol)
 
 
 def slots_per_pose(n_symb_pose: int, fs: FrameStructure, direction) -> int:
@@ -113,33 +95,21 @@ def slots_per_pose(n_symb_pose: int, fs: FrameStructure, direction) -> int:
     """
     if n_symb_pose < 1:
         raise ValueError("n_symb_pose must be >= 1")
-    n_dir = fs.n_direction_symbols(direction)
-    if n_dir < 1:
-        raise ConfigurationError("direction has no symbols in the layout")
-    return -(-n_symb_pose // n_dir) - 1
-
-
-def max_cyclic_start_gap(layout: Sequence, role: SymbolRole) -> int:
-    """Largest whole-symbol gap between consecutive starts of ``role`` symbols.
-
-    Arrival is assumed just after a symbol boundary, so a lone symbol in a
-    slot of N yields a gap of N and a contiguous block of length L yields
-    N - L + 1.
-    """
-    starts = [i for i, r in enumerate(layout) if SymbolRole(r) is role]
-    if not starts:
-        raise ConfigurationError(f"layout contains no {role.value} symbols")
-    n = len(layout)
-    if len(starts) == 1:
-        return n
-    gaps = [b - a for a, b in zip(starts, starts[1:])]
-    gaps.append(starts[0] + n - starts[-1])
-    return max(gaps)
+    return -(-n_symb_pose // fs.n_direction_symbols(direction)) - 1
 
 
 def worst_case_wait(fs: FrameStructure, direction) -> int:
-    """Worst-case whole symbols elapsed before the next usable symbol starts."""
-    return max_cyclic_start_gap(fs.layout, _direction_role(direction))
+    """Worst-case whole symbols elapsed before the next usable symbol starts.
+
+    This is the largest cyclic gap between consecutive starts of the
+    direction's symbols.  Arrival is assumed just after a symbol boundary,
+    so a lone symbol in a slot of N yields N and a contiguous block of
+    length L yields N - L + 1.
+    """
+    role = _direction_role(direction)
+    starts = [i for i, r in enumerate(fs.layout) if r is role]
+    gaps = [b - a for a, b in zip(starts, starts[1:])]
+    return max(gaps + [starts[0] + fs.n_symb - starts[-1]])
 
 
 def transmission_latency(payload_bits: int, fs: FrameStructure, direction) -> float:
@@ -183,33 +153,19 @@ class ExecTimeModel:
             if self.mean < 0 or self.std < 0:
                 raise ConfigurationError("truncated normal needs mean >= 0 and std >= 0")
 
-    @classmethod
-    def constant(cls, value: float) -> "ExecTimeModel":
-        return cls(kind=ExecKind.CONSTANT, value=float(value))
-
-    @classmethod
-    def empirical(cls, samples) -> "ExecTimeModel":
-        return cls(kind=ExecKind.EMPIRICAL, samples=tuple(samples))
-
-    @classmethod
-    def truncated_normal(cls, mean: float, std: float) -> "ExecTimeModel":
-        return cls(kind=ExecKind.TRUNCATED_NORMAL, mean=float(mean), std=float(std))
-
-    def sample(self, rng, size=None):
-        """Draw one value (size=None) or an array of values, all >= 0."""
+    def sample(self, rng, size: int) -> np.ndarray:
+        """Draw an array of ``size`` values, all >= 0."""
         gen = as_generator(rng)
-        n = 1 if size is None else int(size)
         if self.kind is ExecKind.CONSTANT:
-            out = np.full(n, self.value)
-        elif self.kind is ExecKind.EMPIRICAL:
-            out = gen.choice(np.asarray(self.samples), size=n)
-        else:
-            out = gen.normal(self.mean, self.std, size=n)
+            return np.full(size, self.value)
+        if self.kind is ExecKind.EMPIRICAL:
+            return gen.choice(np.asarray(self.samples), size=size)
+        out = gen.normal(self.mean, self.std, size=size)
+        bad = out < 0
+        while bad.any():
+            out[bad] = gen.normal(self.mean, self.std, size=int(bad.sum()))
             bad = out < 0
-            while bad.any():
-                out[bad] = gen.normal(self.mean, self.std, size=int(bad.sum()))
-                bad = out < 0
-        return float(out[0]) if size is None else out
+        return out
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ class LinkBudgetConfig:
     temperature_k: float = 300.0
     noise_figure_db: float = 8.0
     fading_margin_db: float = 2.5
-    n_antennas: int = 100
-    n_users: int = 10
+    antennas: int = 100
+    users: int = 10
     # None selects the zero-forcing diversity gain 10 log10(M - K + 1).
     array_gain_db: float | None = None
 
@@ -37,14 +37,14 @@ class LinkBudgetConfig:
         for name in ("carrier_hz", "bandwidth_hz", "distance_m", "temperature_k"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if not self.n_antennas > self.n_users >= 1:
-            raise ConfigurationError("need n_antennas > n_users >= 1")
+        if not self.antennas > self.users >= 1:
+            raise ConfigurationError("need antennas > users >= 1")
 
     @property
     def resolved_array_gain_db(self) -> float:
         if self.array_gain_db is not None:
             return float(self.array_gain_db)
-        return 10.0 * math.log10(self.n_antennas - self.n_users + 1)
+        return 10.0 * math.log10(self.antennas - self.users + 1)
 
 
 class TxPower(NamedTuple):

@@ -113,7 +113,7 @@ def _nearest_timestamps(reference: np.ndarray, queries: np.ndarray):
     return nearest, np.abs(reference[nearest] - queries)
 
 
-def ate_translation(estimate, ground_truth, with_scale: bool = True) -> AteResult:
+def ate_translation(estimate, ground_truth) -> AteResult:
     """Translation ATE of an estimate against ground truth.
 
     Solved estimate poses are associated to the nearest ground-truth
@@ -122,14 +122,13 @@ def ate_translation(estimate, ground_truth, with_scale: bool = True) -> AteResul
     """
     est_t = np.asarray(estimate.timestamps, dtype=float)
     est_p = np.asarray(estimate.positions, dtype=float)
-    solved = np.asarray(getattr(estimate, "solved", np.ones(len(est_t), dtype=bool)), dtype=bool)
     gt_t = np.asarray(ground_truth.timestamps, dtype=float)
     gt_p = np.asarray(ground_truth.positions, dtype=float)
     if len(gt_t) < 2:
         raise AlignmentError("ground truth needs at least 2 poses to define a frame period")
     tolerance = float(np.median(np.diff(gt_t))) / 2.0
 
-    est_idx = np.flatnonzero(solved)
+    est_idx = np.flatnonzero(estimate.solved)
     if est_idx.size == 0:
         raise AlignmentError("no solved poses in the estimate")
     nearest, gap = _nearest_timestamps(gt_t, est_t[est_idx])
@@ -141,7 +140,7 @@ def ate_translation(estimate, ground_truth, with_scale: bool = True) -> AteResul
         raise AlignmentError(
             f"only {est_idx.size} associated poses; at least 3 are required"
         )
-    rotation, translation, scale = umeyama_align(est_p[est_idx], gt_p[gt_idx], with_scale)
+    rotation, translation, scale = umeyama_align(est_p[est_idx], gt_p[gt_idx])
     aligned = scale * (est_p[est_idx] @ rotation.T) + translation
     rmse = float(np.sqrt(np.mean(np.sum((gt_p[gt_idx] - aligned) ** 2, axis=1))))
     return AteResult(rmse=rmse, n_poses=int(est_idx.size), n_dropped=n_dropped,

@@ -206,13 +206,14 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
     """Monte-Carlo uncoded BER versus power-controlled post-equalisation SNR.
 
     Per SNR point: power control fixes every user's post-equalisation SNR at
-    the target, random QAM symbols cross the channel with unit-variance
-    complex AWGN at the antennas, the zero-forcing output is decided back
-    to Gray labels, and the bit errors of a symbol, the popcount of the
-    sent label XOR the decided one, are pooled across users and
-    subcarriers.  The zero-forcing output x + R^-1 Q^H n is simulated
-    directly: Q^H n is K-dimensional white noise, so K noise samples are
-    drawn per symbol time instead of M.  Ill-conditioned subcarriers are
+    the target, uniformly drawn Gray labels (the law of i.i.d. uniform
+    bits) cross the channel with unit-variance complex AWGN at the
+    antennas, the zero-forcing output is decided back to Gray labels, and
+    the bit errors of a symbol, the popcount of the sent label XOR the
+    decided one, are pooled across users and subcarriers.  The
+    zero-forcing output x + R^-1 Q^H n is simulated directly: Q^H n is
+    K-dimensional white noise, so K noise samples are drawn per symbol
+    time instead of M.  Ill-conditioned subcarriers are
     skipped and counted.  Deterministic given ``seed``.  A chunk holds
     about ``CHUNK_USER_SYMBOLS`` user-domain symbols.
     """
@@ -250,13 +251,11 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
         while remaining > 0:
             n_sym = min(chunk_symbols, remaining)
             remaining -= n_sym
-            bits = rng.integers(0, 2, size=(n_sub, n_users, n_sym * const.bits_per_symbol),
-                                dtype=np.uint8)
-            labels = const.labels(bits)
+            labels = rng.integers(0, const.order, size=(n_sub, n_users, n_sym), dtype=np.uint8)
             noise = rng.standard_normal((n_sub, n_users, 2 * n_sym)).view(complex)
             equalised = const.points[labels] + colour @ noise
             n_errors += int(np.bitwise_count(labels ^ const.decide(equalised)).sum())
-            n_bits += bits.size
+            n_bits += labels.size * const.bits_per_symbol
         points.append(BerPoint(snr_db=snr_db, ber=n_errors / n_bits,
                                n_bits=n_bits, n_errors=n_errors))
     return BerCurve(points=tuple(points), n_singular_subcarriers=n_singular)

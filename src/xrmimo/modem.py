@@ -4,6 +4,8 @@ Constellations are normalised to unit average symbol energy.  A symbol is
 one uint8 Gray label, its bits read most significant first: the high half
 selects the in-phase level through a reflected Gray code, the low half the
 quadrature level, so neighbour points always differ in exactly one bit.
+Simulations draw labels directly; packing bits into labels serves only
+``modulate``, the flat-bit interface.
 
 Two analytic references are provided for hard-decision reception on AWGN:
 
@@ -67,12 +69,11 @@ class QamConstellation:
         if abs(energy - 1.0) > 1e-12:
             raise AssertionError(f"constellation energy {energy} deviates from 1")
 
-    @property
-    def min_distance(self) -> float:
-        return 2.0 * self._scale
-
     def labels(self, bits) -> np.ndarray:
-        """Pack each bits_per_symbol 0/1 values of the last axis into one uint8 label."""
+        """Pack each bits_per_symbol 0/1 values of the last axis into one uint8 label.
+
+        This is the packing step of ``modulate``; nothing else packs bits.
+        """
         bit_arr = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
         bps = self.bits_per_symbol
         if bit_arr.shape[-1] % bps:

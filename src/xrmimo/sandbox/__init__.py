@@ -38,8 +38,6 @@ from .trajectory import (
     GroundTruthTrajectory,
     TrajectoryEstimate,
     generate_trajectory,
-    load_trajectory_file,
-    write_trajectory_file,
 )
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "encode_payload",
     "generate_scene",
     "generate_trajectory",
-    "load_trajectory_file",
     "match_features",
     "observe",
     "payload_num_bytes",
@@ -72,5 +69,4 @@ __all__ = [
     "run_pipeline",
     "solve_pose",
     "solve_poses",
-    "write_trajectory_file",
 ]

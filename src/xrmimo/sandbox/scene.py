@@ -43,10 +43,6 @@ class Box:
     def size(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def contains(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
-
 
 def default_bounds() -> Box:
     return Box(lo=np.zeros(3), hi=np.asarray(DEFAULT_BOUNDS_M))

@@ -2,9 +2,7 @@
 
 Poses are camera-to-world: ``position`` is the camera centre and the
 quaternion (x, y, z, w) rotates camera axes into world axes, with the
-computer-vision camera frame (x right, y down, z forward).  Trajectory
-files are plain text, one ``timestamp tx ty tz qx qy qz qw`` line per
-frame.
+computer-vision camera frame (x right, y down, z forward).
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from ..exceptions import ConfigurationError, FramingError
+from ..exceptions import ConfigurationError
 from ..seeding import as_generator
 from .scene import default_bounds
 
@@ -139,36 +137,3 @@ def generate_trajectory(n_frames: int, rng=0) -> GroundTruthTrajectory:
     timestamps = np.arange(n_frames) / DEFAULT_FRAME_RATE_HZ
     return GroundTruthTrajectory(timestamps=timestamps, positions=positions,
                                  quaternions=quaternions)
-
-
-def write_trajectory_file(path, trajectory) -> None:
-    """Write ``timestamp tx ty tz qx qy qz qw`` lines with exact round-trip floats."""
-    lines = []
-    for i in range(len(trajectory.timestamps)):
-        fields = [trajectory.timestamps[i], *trajectory.positions[i], *trajectory.quaternions[i]]
-        lines.append(" ".join(repr(float(x)) for x in fields))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_trajectory_file(path) -> GroundTruthTrajectory:
-    timestamps, positions, quaternions = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise FramingError(f"{path}:{lineno}: expected 8 fields, found {len(parts)}")
-            values = [float(p) for p in parts]
-            timestamps.append(values[0])
-            positions.append(values[1:4])
-            quaternions.append(values[4:8])
-    if not timestamps:
-        raise FramingError(f"{path}: empty trajectory file")
-    return GroundTruthTrajectory(
-        timestamps=np.asarray(timestamps),
-        positions=np.asarray(positions),
-        quaternions=np.asarray(quaternions),
-    )

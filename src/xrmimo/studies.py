@@ -216,18 +216,7 @@ def run_ber_study(config: ExperimentConfig, out_dir=None) -> Path:
 def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Required device transmit power for each target uncoded BER."""
     settings = config.power
-    budget_cfg = settings["link_budget"]
-    budget = LinkBudgetConfig(
-        carrier_hz=budget_cfg["carrier_hz"],
-        bandwidth_hz=budget_cfg["bandwidth_hz"],
-        distance_m=budget_cfg["distance_m"],
-        temperature_k=budget_cfg["temperature_k"],
-        noise_figure_db=budget_cfg["noise_figure_db"],
-        fading_margin_db=budget_cfg["fading_margin_db"],
-        n_antennas=budget_cfg["antennas"],
-        n_users=budget_cfg["users"],
-        array_gain_db=budget_cfg["array_gain_db"],
-    )
+    budget = LinkBudgetConfig(**settings["link_budget"])
     curve = None
     if settings["mode"] == "simulated":
         channel = _build_channel(config, STUDY_POWER)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrmimo.config import build_config, config_hash, default_config_dict, load_config
+from xrmimo.config import build_config, config_hash, load_config
 from xrmimo.exceptions import ConfigurationError
 
 
@@ -18,7 +18,7 @@ def _names(node):
 
 
 # Every key the schema knows, some it does not, and scenario ids in both forms.
-KEYS = st.sampled_from(sorted(set(_names(default_config_dict())))
+KEYS = st.sampled_from(sorted(set(_names(build_config().resolved)))
                        + ["samples", "mean", "std", "C", "noise_var", 1, 2, 9, None])
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=-2**80, max_value=2**80)
@@ -39,13 +39,13 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-DEFAULT_PATHS = list(_paths(default_config_dict()))
+DEFAULT_PATHS = list(_paths(build_config().resolved))
 
 
 @st.composite
 def mutated_defaults(draw):
     """The default config with a few values, anywhere in it, replaced."""
-    fragment = default_config_dict()
+    fragment = build_config().resolved
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(DEFAULT_PATHS))
         node = fragment
@@ -67,14 +67,14 @@ class TestDefaults:
         cfg = build_config()
         structures = cfg.frame_structures()
         assert set(structures) == {"A", "B"}
-        assert structures["A"].n_ul_symb == 4
-        assert structures["B"].n_ul_symb == 8
+        assert structures["A"].n_direction_symbols("ul") == 4
+        assert structures["B"].n_direction_symbols("ul") == 8
         assert cfg.scenario_ids() == [1, 2, 3]
         assert cfg.sensitivity["ber_grid"] == [1e-5, 1e-4, 1e-3, 1e-2]
 
     def test_hash_changes_with_content(self):
-        base = config_hash(default_config_dict())
-        changed = default_config_dict()
+        base = config_hash(build_config().resolved)
+        changed = build_config().resolved
         changed["seed"] = 999
         assert config_hash(changed) != base
 

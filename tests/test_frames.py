@@ -13,7 +13,6 @@ from xrmimo.frames import (
     ExecTimePair,
     FrameStructure,
     SymbolRole,
-    max_cyclic_start_gap,
     pose_latency,
     slots_per_pose,
     symbols_per_pose,
@@ -34,6 +33,14 @@ def make_structure(layout, name="t", n_subcarriers=1200, bits_per_qam_symbol=6,
                           bits_per_qam_symbol=bits_per_qam_symbol, tau_symb=tau_symb)
 
 
+def constant(value):
+    return ExecTimeModel(kind="constant", value=value)
+
+
+def truncated_normal(mean, std):
+    return ExecTimeModel(kind="truncated_normal", mean=mean, std=std)
+
+
 def contiguous_structure(n_ul, n_dl, n_pilot=1):
     return make_structure(("pilot",) * n_pilot + ("ul",) * n_ul + ("dl",) * n_dl)
 
@@ -42,14 +49,14 @@ class TestFrameStructure:
     def test_defaults(self):
         fs = STRUCTURE_A
         assert fs.n_symb == 10
-        assert fs.n_ul_symb == 4
-        assert fs.n_dl_symb == 4
+        assert fs.n_direction_symbols("ul") == 4
+        assert fs.n_direction_symbols("dl") == 4
         assert fs.bits_per_data_symbol == 7200
 
     def test_structure_b_counts(self):
         fs = STRUCTURE_B
-        assert fs.n_ul_symb == 8
-        assert fs.n_dl_symb == 1
+        assert fs.n_direction_symbols("ul") == 8
+        assert fs.n_direction_symbols("dl") == 1
 
     @pytest.mark.parametrize("kwargs", [
         {"layout": ("ul",)},
@@ -107,9 +114,19 @@ class TestWorstCaseWait:
     def test_structure_b_downlink_single_symbol(self):
         assert worst_case_wait(STRUCTURE_B, "dl") == 10
 
-    def test_all_uplink_layout(self):
-        layout = (SymbolRole.UPLINK_DATA,) * 6
-        assert max_cyclic_start_gap(layout, SymbolRole.UPLINK_DATA) == 1
+    def test_uplink_run_around_one_downlink_symbol(self):
+        fs = make_structure((SymbolRole.UPLINK_DATA,) * 5 + (SymbolRole.DOWNLINK_DATA,))
+        # Consecutive UL starts are 1 apart; the wrap past the DL symbol is 2.
+        assert worst_case_wait(fs, "ul") == 2
+        assert worst_case_wait(fs, SymbolRole.DOWNLINK_DATA) == 6
+
+    @pytest.mark.parametrize("direction, error", [
+        ("pilot", ConfigurationError), (SymbolRole.GUARD, ConfigurationError),
+        ("uplink", ValueError), ("UL", ValueError),
+    ])
+    def test_only_data_role_values_are_directions(self, direction, error):
+        with pytest.raises(error):
+            worst_case_wait(STRUCTURE_A, direction)
 
     def test_non_contiguous_layout(self):
         layout = ("ul", "pilot", "ul", "dl", "dl", "pilot")
@@ -171,7 +188,7 @@ class TestTransmissionLatency:
     def test_fit_in_one_slot(self, bits):
         fs = STRUCTURE_A
         n = symbols_per_pose(bits, fs)
-        if n <= fs.n_ul_symb:
+        if n <= fs.n_direction_symbols("ul"):
             assert slots_per_pose(n, fs, "ul") == 0
             expected = fs.tau_symb * (worst_case_wait(fs, "ul") + n)
             assert transmission_latency(bits, fs, "ul") == expected
@@ -179,23 +196,24 @@ class TestTransmissionLatency:
 
 class TestExecTimeModel:
     def test_constant(self):
-        assert ExecTimeModel.constant(0.02).sample(0) == 0.02
+        draws = ExecTimeModel(kind="constant", value=0.02).sample(0, size=3)
+        assert draws.tolist() == [0.02, 0.02, 0.02]
 
     def test_constant_negative_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExecTimeModel.constant(-1.0)
+            ExecTimeModel(kind="constant", value=-1.0)
 
     def test_empirical_requires_samples(self):
         with pytest.raises(ConfigurationError):
-            ExecTimeModel.empirical([])
+            ExecTimeModel(kind="empirical", samples=())
 
     def test_empirical_draws_from_list(self):
-        model = ExecTimeModel.empirical([0.01, 0.02, 0.03])
+        model = ExecTimeModel(kind="empirical", samples=(0.01, 0.02, 0.03))
         draws = model.sample(np.random.default_rng(0), size=200)
         assert set(np.round(draws, 6)) <= {0.01, 0.02, 0.03}
 
     def test_truncated_normal_nonnegative(self):
-        model = ExecTimeModel.truncated_normal(0.001, 0.05)
+        model = ExecTimeModel(kind="truncated_normal", mean=0.001, std=0.05)
         draws = model.sample(np.random.default_rng(1), size=500)
         assert (draws >= 0).all()
 
@@ -208,7 +226,7 @@ class TestExecTimeModel:
 
 class TestPoseLatency:
     def zero_exec(self):
-        zero = ExecTimeModel.constant(0.0)
+        zero = constant(0.0)
         return ExecTimePair(zero, zero)
 
     def latency(self, pair, fs, scenario, rng=0, trials=1):
@@ -224,36 +242,34 @@ class TestPoseLatency:
         assert terms["total"][0] <= 0.200
 
     def test_constant_passthrough(self):
-        pair = ExecTimePair(ExecTimeModel.constant(0.01), ExecTimeModel.constant(0.02))
+        pair = ExecTimePair(constant(0.01), constant(0.02))
         terms = self.latency(pair, STRUCTURE_A, 2, trials=5)
         assert (terms["device"] == 0.01).all()
         assert (terms["offloaded"] == 0.02).all()
         assert (terms["bs"] == TAU_BS_S).all()
 
     def test_scenario_1_structure_a_violates_deadline(self):
-        pair = ExecTimePair(ExecTimeModel.constant(0.035), ExecTimeModel.constant(0.020))
+        pair = ExecTimePair(constant(0.035), constant(0.020))
         terms = self.latency(pair, STRUCTURE_A, 1)
         assert terms["total"][0] == pytest.approx(238.5586e-3, rel=1e-6)
         assert terms["total"][0] > 0.200
 
     def test_sum_identity_exact(self):
-        pair = ExecTimePair(ExecTimeModel.truncated_normal(0.02, 0.01),
-                            ExecTimeModel.empirical([0.01, 0.013, 0.04]))
+        pair = ExecTimePair(truncated_normal(0.02, 0.01),
+                            ExecTimeModel(kind="empirical", samples=(0.01, 0.013, 0.04)))
         terms = self.latency(pair, STRUCTURE_B, 2, rng=np.random.default_rng(3), trials=50)
         total = terms["device"] + terms["ul"] + terms["bs"] + terms["offloaded"] + terms["dl"]
         assert (terms["total"] == total).all()
 
     def test_device_drawn_before_offloaded(self):
-        pair = ExecTimePair(ExecTimeModel.truncated_normal(0.02, 0.01),
-                            ExecTimeModel.truncated_normal(0.01, 0.005))
+        pair = ExecTimePair(truncated_normal(0.02, 0.01), truncated_normal(0.01, 0.005))
         terms = self.latency(pair, STRUCTURE_B, 3, rng=np.random.default_rng(4), trials=20)
         rng = np.random.default_rng(4)
         assert (terms["device"] == pair.device.sample(rng, size=20)).all()
         assert (terms["offloaded"] == pair.offloaded.sample(rng, size=20)).all()
 
     def test_deterministic_given_seed(self):
-        pair = ExecTimePair(ExecTimeModel.truncated_normal(0.02, 0.01),
-                            ExecTimeModel.truncated_normal(0.01, 0.005))
+        pair = ExecTimePair(truncated_normal(0.02, 0.01), truncated_normal(0.01, 0.005))
         a = self.latency(pair, STRUCTURE_B, 3, rng=np.random.default_rng(9), trials=3)
         b = self.latency(pair, STRUCTURE_B, 3, rng=np.random.default_rng(9), trials=3)
         for term in a:

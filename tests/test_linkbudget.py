@@ -84,7 +84,7 @@ class TestRequiredTxPower:
         with pytest.raises(ConfigurationError):
             LinkBudgetConfig(distance_m=0.0)
         with pytest.raises(ConfigurationError):
-            LinkBudgetConfig(n_antennas=10, n_users=10)
+            LinkBudgetConfig(antennas=10, users=10)
 
 
 class TestSnrTarget:

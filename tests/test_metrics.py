@@ -159,22 +159,6 @@ class TestAteTranslation:
         with pytest.raises(AlignmentError):
             ate_translation(est, make_ground_truth(t, pts))
 
-    def test_trajectory_files_feed_the_metric(self, tmp_path):
-        """Estimates and ground truths share the text format end to end."""
-        from xrmimo.sandbox import load_trajectory_file, write_trajectory_file
-
-        rng = np.random.default_rng(10)
-        t = np.arange(12) / 12.0
-        gt_pts = rng.normal(size=(12, 3))
-        est_pts = gt_pts + 0.002 * rng.normal(size=(12, 3))
-        write_trajectory_file(tmp_path / "gt.txt", make_ground_truth(t, gt_pts))
-        write_trajectory_file(tmp_path / "est.txt", make_estimate(t, est_pts))
-        gt = load_trajectory_file(tmp_path / "gt.txt")
-        est = load_trajectory_file(tmp_path / "est.txt")
-        direct = ate_translation(make_estimate(t, est_pts), make_ground_truth(t, gt_pts))
-        via_files = ate_translation(est, gt)
-        assert via_files.rmse == pytest.approx(direct.rmse, abs=1e-12)
-
 
 class TestNormalise:
     def test_equal_to_baseline_is_zero(self):

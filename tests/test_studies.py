@@ -1,6 +1,7 @@
 """Study orchestration and CLI tests (reduced-size configs)."""
 
 import errno
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,27 @@ class TestProvenance:
         assert names == ["ber.csv", "latency.csv", "power.csv", "sensitivity.csv"]
         for p in paths:
             assert p.exists()
+
+
+class TestPinnedBytes:
+    """CSV bytes change only when a study's random draws change.
+
+    Digests of acceptance criterion 9's reduced config.  Re-pin one only
+    for a change of that study's draws, and record it in CHANGES.md.
+    """
+
+    CONFIG = {"latency": {"trials": 32}, "sensitivity": SMALL_SENSITIVITY, "ber": SMALL_BER}
+
+    @pytest.mark.parametrize("study, digest", [
+        (run_latency_study, "70c3a785c35be2d08e53c0341cc55f86977ff864e916bfab0b6d0493a0367b3e"),
+        (run_sensitivity_study,
+         "9fdf8b19abe28bb87ef164320fd5068dce97a9e031e14c80cc49df8b9f50bd4b"),
+        (run_ber_study, "5c372c391efef7db5bf98251c4657ce969139159698fc66a984cff2ab1b02c30"),
+        (run_power_study, "3a2ec81558eec5c6dc1df39591b882281924fa85479b66df7d45430f46b8c8c3"),
+    ], ids=["latency", "sensitivity", "ber", "power"])
+    def test_sha256(self, study, digest, tmp_path):
+        path = study(build_config(self.CONFIG), out_dir=tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCli:
