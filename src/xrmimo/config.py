@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .exceptions import ConfigurationError
@@ -31,7 +32,7 @@ from .frames import (
     SymbolRole,
 )
 from .linkbudget import LinkBudgetConfig
-from .modem import VALID_QAM_ORDERS
+from .modem import VALID_QAM_ORDERS, qam_ber_approx
 from .scenarios import SCENARIO_IDS, SCENARIO_UL_BITS
 
 
@@ -343,7 +344,26 @@ def build_config(fragment: dict | None = None) -> ExperimentConfig:
     budget = resolved["power"]["link_budget"]
     if budget["antennas"] <= budget["users"]:
         _fail("power.link_budget", "antennas must exceed users")
+    if resolved["power"]["mode"] == "simulated":
+        _check_simulated_targets(resolved["power"], resolved["ber"]["snr_grid_db"])
     return ExperimentConfig(resolved=resolved)
+
+
+def _check_simulated_targets(power: dict, snr_grid_db: list) -> None:
+    """Fail unless the analytic BER over the simulated SNR grid spans every target.
+
+    The simulated study interpolates each target between measured points
+    of that grid, so a target outside the analytic range would fail only
+    after the whole Monte Carlo.
+    """
+    snr = 10.0 ** (np.asarray(snr_grid_db, dtype=float) / 10.0)
+    ber = qam_ber_approx(snr, power["modulation_order"])
+    lo, hi = float(ber.min()), float(ber.max())
+    outside = [t for t in power["ber_targets"] if not lo <= t <= hi]
+    if outside:
+        _fail("power.ber_targets",
+              f"{outside} outside the analytic BER range [{lo:.3e}, {hi:.3e}] of "
+              f"ber.snr_grid_db for {power['modulation_order']}-QAM")
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

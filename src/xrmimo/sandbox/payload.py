@@ -8,7 +8,8 @@ can operate on raw serialized bytes:
   greyscale image at a protocol-fixed grid of byte patches, one 48-byte
   record every 200 bytes, which lets the receiver recover features without
   a real detector while the full image surface stays exposed to bit
-  errors.
+  errors.  Both ends address the patches as one strided view of the image
+  bytes, (slots, stride) cut to the first 48 columns.
 * scenario 2: 1536 x 48-byte feature records then the dense depth image.
 * scenario 3: 1536 x 56-byte feature records with an inline float64 depth.
 
@@ -18,6 +19,10 @@ slots are zero-filled and carry ``valid = 0``.  The receiver keeps the
 slots whose ``valid`` byte is non-zero and clamps every field into its
 allowed range, NaN and inf to the range's midpoint, so any byte string of
 the right length decodes.
+
+The encoders of scenarios 1 and 2 write the image or record block and the
+depth image into one preallocated buffer; the decoders read every part
+as a view of the received bytes, at its offset.
 """
 
 from __future__ import annotations
@@ -102,28 +107,32 @@ def _background_image(camera: CameraModel) -> np.ndarray:
     return image
 
 
+def _record_patches(image: np.ndarray, camera: CameraModel) -> np.ndarray:
+    """The (FEATURE_SLOTS, 48) byte patches of the scenario-1 image, as a strided view.
+
+    Slot i is the 48 bytes at offset ``i * stride``; a stride is at least
+    one record long, so the patches are disjoint.
+    """
+    stride = _patch_stride(camera)
+    return image[:FEATURE_SLOTS * stride].reshape(FEATURE_SLOTS, stride)[:, :RECORD_DTYPE.itemsize]
+
+
 def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
     """Serialize a frame's feature records into the scenario's exact wire format."""
     if scenario == 3:
-        records = _build_records(features, RECORD_WITH_DEPTH_DTYPE)
-        payload = records.tobytes()
-    elif scenario == 2:
-        records = _build_records(features, RECORD_DTYPE)
-        payload = records.tobytes() + _depth_image(features, camera).tobytes()
-    elif scenario == 1:
-        records = _build_records(features, RECORD_DTYPE)
-        stride = _patch_stride(camera)
-        image = _background_image(camera).flatten()
-        record_bytes = records.view(np.uint8).reshape(FEATURE_SLOTS, RECORD_DTYPE.itemsize)
-        offsets = (np.arange(FEATURE_SLOTS) * stride)[:, None] + np.arange(RECORD_DTYPE.itemsize)
-        image[offsets] = record_bytes
-        payload = image.tobytes() + _depth_image(features, camera).tobytes()
-    else:
+        return _build_records(features, RECORD_WITH_DEPTH_DTYPE).tobytes()
+    if scenario not in (1, 2):
         raise ConfigurationError(f"unknown scenario {scenario}, expected one of {SCENARIO_IDS}")
-    expected = payload_num_bytes(scenario, camera)
-    if len(payload) != expected:
-        raise FramingError(f"encoder produced {len(payload)} bytes, expected {expected}")
-    return payload
+    records = _build_records(features, RECORD_DTYPE).view(np.uint8)
+    wire = np.empty(payload_num_bytes(scenario, camera), dtype=np.uint8)
+    depth_at = wire.size - 2 * camera.width * camera.height
+    if scenario == 1:
+        wire[:depth_at] = _background_image(camera).reshape(-1)
+        _record_patches(wire[:depth_at], camera)[...] = records.reshape(FEATURE_SLOTS, -1)
+    else:
+        wire[:depth_at] = records
+    wire[depth_at:] = _depth_image(features, camera).view(np.uint8).reshape(-1)
+    return wire.tobytes()
 
 
 def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.ndarray:
@@ -137,26 +146,20 @@ def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.nda
         raise FramingError(
             f"scenario {scenario} payload must be {expected} bytes, got {len(payload)}"
         )
-    image_bytes = camera.width * camera.height
-    depth_image = None
+    depth_at = expected - 2 * camera.width * camera.height
     if scenario == 3:
         records = np.frombuffer(payload, dtype=RECORD_WITH_DEPTH_DTYPE)
     elif scenario == 2:
-        split = FEATURE_SLOTS * RECORD_DTYPE.itemsize
-        records = np.frombuffer(payload[:split], dtype=RECORD_DTYPE)
-        depth_image = np.frombuffer(payload[split:], dtype="<u2").reshape(
-            camera.height, camera.width
-        )
+        records = np.frombuffer(payload, dtype=RECORD_DTYPE, count=FEATURE_SLOTS)
     elif scenario == 1:
-        stride = _patch_stride(camera)
-        image = np.frombuffer(payload[:image_bytes], dtype=np.uint8)
-        offsets = (np.arange(FEATURE_SLOTS) * stride)[:, None] + np.arange(RECORD_DTYPE.itemsize)
-        records = image[offsets].reshape(-1).view(RECORD_DTYPE)
-        depth_image = np.frombuffer(payload[image_bytes:], dtype="<u2").reshape(
-            camera.height, camera.width
-        )
+        image = np.frombuffer(payload, dtype=np.uint8, count=depth_at)
+        records = _record_patches(image, camera).view(RECORD_DTYPE)[:, 0]
     else:
         raise ConfigurationError(f"unknown scenario {scenario}, expected one of {SCENARIO_IDS}")
+    if scenario != 3:
+        depth_image = np.frombuffer(payload, dtype="<u2", offset=depth_at).reshape(
+            camera.height, camera.width
+        )
 
     records = records[records["valid"] != 0]
     # Corrupted float32 bytes may hold signaling NaNs; widening them trips

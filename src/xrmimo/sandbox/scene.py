@@ -1,8 +1,9 @@
 """Synthetic landmark scenes.
 
 A scene is a fixed set of 3D landmarks, each with a 256-bit binary
-descriptor and an 8-bit intensity.  Descriptors are kept pairwise far
-apart (Hamming distance >= 80) so uncorrupted matching is unambiguous.
+descriptor and an 8-bit intensity.  Descriptors are pairwise far apart
+(Hamming distance >= 80): ``Scene`` rejects a closer pair, so uncorrupted
+matching is unambiguous and an exact descriptor names one landmark.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class Scene:
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
-        descriptors = np.asarray(self.descriptors, dtype=np.uint8)
+        descriptors = np.ascontiguousarray(self.descriptors, dtype=np.uint8)
         intensities = np.asarray(self.intensities, dtype=np.uint8)
         n = positions.shape[0]
         if n < 4:
@@ -68,6 +69,14 @@ class Scene:
             raise ConfigurationError(f"descriptors must be (n, {DESCRIPTOR_BYTES}) bytes")
         if intensities.shape != (n,):
             raise ConfigurationError("intensities must be (n,)")
+        dist = descriptor_distances(descriptors, descriptors)
+        np.fill_diagonal(dist, DESCRIPTOR_BYTES * 8)
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[i, j] < MIN_DESCRIPTOR_HAMMING:
+            raise ConfigurationError(
+                f"descriptors of landmarks {i} and {j} are {dist[i, j]} bits apart, "
+                f"need >= {MIN_DESCRIPTOR_HAMMING}"
+            )
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "descriptors", descriptors)
         object.__setattr__(self, "intensities", intensities)

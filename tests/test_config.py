@@ -207,6 +207,13 @@ class TestValidation:
             return
         assert len(cfg.hash) == 16
 
+    def test_simulated_power_targets_inside_the_snr_grid(self):
+        # The default grid tops out at 24.32 dB, where the analytic BER is 9.7e-5.
+        with pytest.raises(ConfigurationError, match=r"^power\.ber_targets: \[1e-05\] outside"):
+            build_config({"power": {"mode": "simulated", "ber_targets": [1e-4, 1e-5]}})
+        assert build_config({"power": {"mode": "simulated", "ber_targets": [1e-4]}})
+        assert build_config({"power": {"mode": "analytic", "ber_targets": [1e-4, 1e-5]}})
+
     def test_bad_type_messages(self):
         with pytest.raises(ConfigurationError, match="seed"):
             build_config({"seed": "abc"})

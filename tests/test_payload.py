@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_biterrors import hamming_distance
+import xrmimo.sandbox.payload as payload_module
 from xrmimo.biterrors import corrupt
 from xrmimo.exceptions import FramingError
 from xrmimo.scenarios import SCENARIO_IDS, SCENARIO_UL_BYTES
@@ -148,6 +149,81 @@ def test_corrupted_codec_path_golden(scenario):
     received = corrupt(encode_payload(feats, scenario, CAMERA), 1e-3, np.random.default_rng(23))
     decoded = decode_payload(received, scenario, CAMERA)
     assert (len(decoded), codec_digest(decoded)) == CODEC_GOLDEN[scenario]
+
+
+def offsets_encode(features, scenario, camera) -> bytes:
+    """Scenario 1 and 2 encoders as a fancy-index scatter of each record byte."""
+    records = payload_module._build_records(features, RECORD_DTYPE)
+    depth = payload_module._depth_image(features, camera).tobytes()
+    if scenario == 2:
+        return records.tobytes() + depth
+    stride = payload_module._patch_stride(camera)
+    image = payload_module._background_image(camera).flatten()
+    offsets = (np.arange(FEATURE_SLOTS) * stride)[:, None] + np.arange(RECORD_DTYPE.itemsize)
+    image[offsets] = records.view(np.uint8).reshape(FEATURE_SLOTS, RECORD_DTYPE.itemsize)
+    return image.tobytes() + depth
+
+
+def offsets_decode(payload, scenario, camera):
+    """Scenario 1 and 2 decoders that gather records by fancy index and slice the bytes."""
+    clamp = payload_module._clamp
+    image_bytes = camera.width * camera.height
+    if scenario == 2:
+        split = FEATURE_SLOTS * RECORD_DTYPE.itemsize
+        records = np.frombuffer(payload[:split], dtype=RECORD_DTYPE)
+    else:
+        split = image_bytes
+        stride = payload_module._patch_stride(camera)
+        image = np.frombuffer(payload[:image_bytes], dtype=np.uint8)
+        offsets = (np.arange(FEATURE_SLOTS) * stride)[:, None] + np.arange(RECORD_DTYPE.itemsize)
+        records = image[offsets].reshape(-1).view(RECORD_DTYPE)
+    depth_image = np.frombuffer(payload[split:], dtype="<u2").reshape(camera.height, camera.width)
+    records = records[records["valid"] != 0]
+    with np.errstate(invalid="ignore"):
+        u = clamp(records["u"], 0.0, float(camera.width - 1))
+        v = clamp(records["v"], 0.0, float(camera.height - 1))
+        score = clamp(records["score"], 0.0, 1.0)
+    px = np.clip(np.rint(u), 0, camera.width - 1).astype(int)
+    py = np.clip(np.rint(v), 0, camera.height - 1).astype(int)
+    decoded = np.zeros(len(records), dtype=RECORD_WITH_DEPTH_DTYPE)
+    decoded["descriptor"] = records["descriptor"]
+    decoded["u"] = u
+    decoded["v"] = v
+    decoded["score"] = score
+    decoded["valid"] = 1
+    decoded["intensity"] = records["intensity"]
+    decoded["depth"] = clamp(depth_image[py, px] / 1000.0, camera.depth_min, camera.depth_max)
+    return decoded
+
+
+def camera_features(camera, n, seed):
+    """Random records at distinct pixels of ``camera``'s image."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(camera.width * camera.height, size=n, replace=False)
+    features = np.zeros(n, dtype=RECORD_WITH_DEPTH_DTYPE)
+    features["u"] = cells % camera.width + rng.uniform(-0.4, 0.4, n)
+    features["v"] = cells // camera.width + rng.uniform(-0.4, 0.4, n)
+    features["depth"] = rng.uniform(camera.depth_min, camera.depth_max, n)
+    features["descriptor"] = rng.integers(0, 256, (n, 32), dtype=np.uint8)
+    features["intensity"] = rng.integers(0, 256, n)
+    features["score"] = rng.uniform(0, 1, n)
+    features["valid"] = 1
+    return features
+
+
+# 321 x 241 is an odd image size: the depth image starts at an odd byte.
+@pytest.mark.parametrize("camera", [CAMERA, CameraModel(width=321, height=241)],
+                         ids=["640x480", "321x241"])
+@pytest.mark.parametrize("ber", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_codec_equals_offset_scatter_and_gather(camera, ber, scenario):
+    for seed, n in enumerate([0, 60, FEATURE_SLOTS]):
+        features = camera_features(camera, n, seed)
+        payload = encode_payload(features, scenario, camera)
+        assert payload == offsets_encode(features, scenario, camera)
+        received = corrupt(payload, ber, np.random.default_rng([seed, scenario]))
+        assert (decode_payload(received, scenario, camera).tobytes()
+                == offsets_decode(received, scenario, camera).tobytes())
 
 
 class TestFraming:
