@@ -8,20 +8,7 @@ import sys
 
 from .config import load_config
 from .exceptions import ConfigurationError, SimulationError
-from .studies import (
-    run_all,
-    run_ber_study,
-    run_latency_study,
-    run_power_study,
-    run_sensitivity_study,
-)
-
-_STUDIES = {
-    "latency": run_latency_study,
-    "sensitivity": run_sensitivity_study,
-    "ber": run_ber_study,
-    "power": run_power_study,
-}
+from .studies import STUDIES, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,13 +18,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "localisation-error sensitivity, and device power studies.",
     )
     sub = parser.add_subparsers(dest="study", required=True)
-    for name, help_text in (
-        ("latency", "pose-correction latency per scenario and frame structure"),
-        ("sensitivity", "normalised localisation error versus bit error rate"),
-        ("ber", "Monte-Carlo uncoded BER versus post-equalisation SNR"),
-        ("power", "required device transmit power per target BER"),
-        ("all", "run every study"),
-    ):
+    for name, study in (*STUDIES.items(), ("all", run_all)):
+        help_text = (study.__doc__ or name).splitlines()[0].rstrip(".")
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="YAML/JSON config file; defaults used if omitted")
         cmd.add_argument("--seed", type=int, help="master seed override")
@@ -71,7 +53,7 @@ def main(argv=None) -> int:
         if args.study == "all":
             paths = run_all(config)
         else:
-            paths = [_STUDIES[args.study](config)]
+            paths = [STUDIES[args.study](config)]
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from .frames import (
     SymbolRole,
 )
 from .linkbudget import LinkBudgetConfig
-from .modem import VALID_QAM_ORDERS, qam_ber_approx
+from .modem import VALID_QAM_ORDERS, qam_ber_exact
 from .scenarios import SCENARIO_IDS, SCENARIO_UL_BITS
 
 
@@ -223,7 +223,7 @@ SCHEMA = {
         "ber_grid": (_grid(above=0.0, below=0.5), [1e-5, 1e-4, 1e-3, 1e-2]),
         "scenarios": (_list(_int(choices=SCENARIO_IDS), distinct=True), list(SCENARIO_IDS)),
         "n_trajectories": (_int(minimum=1), 10),
-        "n_frames": (_int(minimum=2), 100),
+        "n_frames": (_int(minimum=3), 100),  # ATE needs 3 poses
         "trials": (_int(minimum=1), 1),
         "n_landmarks": (_int(minimum=4), 400),
         "bootstrap_draws": (_int(minimum=1), 10000),
@@ -345,25 +345,33 @@ def build_config(fragment: dict | None = None) -> ExperimentConfig:
     if budget["antennas"] <= budget["users"]:
         _fail("power.link_budget", "antennas must exceed users")
     if resolved["power"]["mode"] == "simulated":
-        _check_simulated_targets(resolved["power"], resolved["ber"]["snr_grid_db"])
+        _check_simulated_targets(resolved["power"], resolved["ber"])
     return ExperimentConfig(resolved=resolved)
 
 
-def _check_simulated_targets(power: dict, snr_grid_db: list) -> None:
-    """Fail unless the analytic BER over the simulated SNR grid spans every target.
+def _check_simulated_targets(power: dict, ber: dict) -> None:
+    """Fail unless the simulated BER curve can be expected to span every target.
 
     The simulated study interpolates each target between measured points
-    of that grid, so a target outside the analytic range would fail only
-    after the whole Monte Carlo.
+    of ``ber.snr_grid_db``, so a target outside the measured range would
+    fail only after the whole Monte Carlo.  The range checked is the exact
+    BER at the two ends of the grid, each moved inwards by 3 standard
+    errors of a ``ber.bits_per_point``-bit estimate.
     """
-    snr = 10.0 ** (np.asarray(snr_grid_db, dtype=float) / 10.0)
-    ber = qam_ber_approx(snr, power["modulation_order"])
-    lo, hi = float(ber.min()), float(ber.max())
+    # Beyond +-100 dB the exact BER sits at its limits, 0 and 1/2, to 1e-5;
+    # the clip keeps the linear SNR finite and positive.
+    snr_db = np.clip(np.asarray(ber["snr_grid_db"], dtype=float), -100.0, 100.0)
+    exact = qam_ber_exact(10.0 ** (snr_db / 10.0), power["modulation_order"])
+    lo, hi = float(exact.min()), float(exact.max())
+    n_bits = ber["bits_per_point"]
+    lo += 3.0 * math.sqrt(lo * (1.0 - lo) / n_bits)
+    hi -= 3.0 * math.sqrt(hi * (1.0 - hi) / n_bits)
     outside = [t for t in power["ber_targets"] if not lo <= t <= hi]
     if outside:
         _fail("power.ber_targets",
-              f"{outside} outside the analytic BER range [{lo:.3e}, {hi:.3e}] of "
-              f"ber.snr_grid_db for {power['modulation_order']}-QAM")
+              f"{outside} outside [{lo:.3e}, {hi:.3e}], the exact BER range of "
+              f"ber.snr_grid_db for {power['modulation_order']}-QAM less 3 standard "
+              f"errors of ber.bits_per_point bits at each end")
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

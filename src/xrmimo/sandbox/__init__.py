@@ -19,11 +19,9 @@ from .matching import MATCH_DTYPE, match_features
 from .payload import FEATURE_SLOTS, decode_payload, encode_payload, payload_num_bytes
 from .pipeline import run_pipeline
 from .scene import (
-    Box,
     DESCRIPTOR_BYTES,
     MIN_DESCRIPTOR_HAMMING,
     Scene,
-    default_bounds,
     descriptor_distances,
     generate_scene,
 )
@@ -41,7 +39,6 @@ from .trajectory import (
 )
 
 __all__ = [
-    "Box",
     "CameraModel",
     "DESCRIPTOR_BYTES",
     "FEATURE_SLOTS",
@@ -56,7 +53,6 @@ __all__ = [
     "Scene",
     "TrajectoryEstimate",
     "decode_payload",
-    "default_bounds",
     "descriptor_distances",
     "encode_payload",
     "generate_scene",

@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..exceptions import ConfigurationError, FramingError
-from ..scenarios import SCENARIO_IDS
 from .camera import CameraModel
 from .features import MAX_FEATURES_PER_FRAME, RECORD_DTYPE, RECORD_WITH_DEPTH_DTYPE
 
@@ -48,7 +47,7 @@ def payload_num_bytes(scenario: int, camera: CameraModel) -> int:
         return FEATURE_SLOTS * RECORD_DTYPE.itemsize + 2 * image_bytes
     if scenario == 3:
         return FEATURE_SLOTS * RECORD_WITH_DEPTH_DTYPE.itemsize
-    raise ConfigurationError(f"unknown scenario {scenario}, expected one of {SCENARIO_IDS}")
+    raise ConfigurationError(f"unknown scenario {scenario}, expected one of (1, 2, 3)")
 
 
 def _patch_stride(camera: CameraModel) -> int:
@@ -119,12 +118,11 @@ def _record_patches(image: np.ndarray, camera: CameraModel) -> np.ndarray:
 
 def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
     """Serialize a frame's feature records into the scenario's exact wire format."""
+    size = payload_num_bytes(scenario, camera)  # rejects an unknown scenario
     if scenario == 3:
         return _build_records(features, RECORD_WITH_DEPTH_DTYPE).tobytes()
-    if scenario not in (1, 2):
-        raise ConfigurationError(f"unknown scenario {scenario}, expected one of {SCENARIO_IDS}")
     records = _build_records(features, RECORD_DTYPE).view(np.uint8)
-    wire = np.empty(payload_num_bytes(scenario, camera), dtype=np.uint8)
+    wire = np.empty(size, dtype=np.uint8)
     depth_at = wire.size - 2 * camera.width * camera.height
     if scenario == 1:
         wire[:depth_at] = _background_image(camera).reshape(-1)
@@ -151,11 +149,9 @@ def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.nda
         records = np.frombuffer(payload, dtype=RECORD_WITH_DEPTH_DTYPE)
     elif scenario == 2:
         records = np.frombuffer(payload, dtype=RECORD_DTYPE, count=FEATURE_SLOTS)
-    elif scenario == 1:
+    else:  # scenario 1; payload_num_bytes has rejected any other
         image = np.frombuffer(payload, dtype=np.uint8, count=depth_at)
         records = _record_patches(image, camera).view(RECORD_DTYPE)[:, 0]
-    else:
-        raise ConfigurationError(f"unknown scenario {scenario}, expected one of {SCENARIO_IDS}")
     if scenario != 3:
         depth_image = np.frombuffer(payload, dtype="<u2", offset=depth_at).reshape(
             camera.height, camera.width

@@ -8,7 +8,7 @@ matching is unambiguous and an exact descriptor names one landmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,36 +17,8 @@ from ..seeding import as_generator
 
 DESCRIPTOR_BYTES = 32
 MIN_DESCRIPTOR_HAMMING = 80
-DEFAULT_BOUNDS_M = (4.2, 2.5, 2.5)
+ROOM_SIZE_M = (4.2, 2.5, 2.5)  # generated landmarks and trajectories lie in [0, size]
 MAX_ATTEMPTS_PER_LANDMARK = 64
-
-
-@dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise ConfigurationError("box corners must be 3-vectors")
-        if not np.all(lo < hi):
-            raise ConfigurationError("box must have positive extent on every axis")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-    @property
-    def size(self) -> np.ndarray:
-        return self.hi - self.lo
-
-
-def default_bounds() -> Box:
-    return Box(lo=np.zeros(3), hi=np.asarray(DEFAULT_BOUNDS_M))
 
 
 @dataclass(frozen=True)
@@ -54,7 +26,6 @@ class Scene:
     positions: np.ndarray
     descriptors: np.ndarray
     intensities: np.ndarray
-    bounds: Box = field(default_factory=default_bounds)
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
@@ -113,7 +84,7 @@ def descriptor_distances(a, b) -> np.ndarray:
 
 
 def generate_scene(n_landmarks: int, rng=0) -> Scene:
-    """Uniform landmarks in the default bounds with rejection-separated descriptors.
+    """Uniform landmarks in the room with rejection-separated descriptors.
 
     Random 256-bit descriptors almost never collide below distance 80, so
     the rejection loop is effectively free; the budget guards pathological
@@ -121,9 +92,8 @@ def generate_scene(n_landmarks: int, rng=0) -> Scene:
     """
     if n_landmarks < 4:
         raise ConfigurationError("n_landmarks must be >= 4")
-    bounds = default_bounds()
     gen = as_generator(rng)
-    positions = gen.uniform(bounds.lo, bounds.hi, size=(n_landmarks, 3))
+    positions = gen.uniform(0.0, ROOM_SIZE_M, size=(n_landmarks, 3))
 
     descriptors = np.empty((n_landmarks, DESCRIPTOR_BYTES), dtype=np.uint8)
     budget = n_landmarks * MAX_ATTEMPTS_PER_LANDMARK
@@ -143,5 +113,4 @@ def generate_scene(n_landmarks: int, rng=0) -> Scene:
         accepted += 1
 
     intensities = gen.integers(0, 256, size=n_landmarks, dtype=np.uint8)
-    return Scene(positions=positions, descriptors=descriptors,
-                 intensities=intensities, bounds=bounds)
+    return Scene(positions=positions, descriptors=descriptors, intensities=intensities)

@@ -14,7 +14,7 @@ from scipy.spatial.transform import Rotation
 
 from ..exceptions import ConfigurationError
 from ..seeding import as_generator
-from .scene import default_bounds
+from .scene import ROOM_SIZE_M
 
 DEFAULT_FRAME_RATE_HZ = 30.0
 
@@ -98,7 +98,7 @@ def _camera_to_world_rotation(yaw: float, pitch: float) -> np.ndarray:
 
 
 def generate_trajectory(n_frames: int, rng=0) -> GroundTruthTrajectory:
-    """Smooth closed loop inside the default bounds, camera looking along the path.
+    """Smooth closed loop inside the room, camera looking along the path.
 
     Position follows a low-order sinusoid (an ellipse with a gentle height
     swell); yaw tracks the travel direction with a slow wobble so the view
@@ -107,10 +107,9 @@ def generate_trajectory(n_frames: int, rng=0) -> GroundTruthTrajectory:
     """
     if n_frames < 2:
         raise ConfigurationError("n_frames must be >= 2")
-    bounds = default_bounds()
     gen = as_generator(rng)
-    center = bounds.center
-    half = bounds.size / 2.0
+    half = np.asarray(ROOM_SIZE_M) / 2.0
+    center = half  # the room's corner is the origin
 
     radius_x = 0.55 * half[0] * gen.uniform(0.9, 1.1)
     radius_y = 0.55 * half[1] * gen.uniform(0.9, 1.1)

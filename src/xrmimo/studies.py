@@ -25,7 +25,7 @@ from .linkbudget import (
     snr_target_from_curve,
 )
 from .metrics import ate_translation, bootstrap_stats, trajectory_error_percentages
-from .mimo import ber_curve, generate_channel, load_channels
+from .mimo import BerCurve, ber_curve, generate_channel, load_channels
 from .modem import QamConstellation
 from .sandbox import CameraModel, generate_scene, generate_trajectory, run_pipeline
 from .seeding import generator, seed_sequence
@@ -55,10 +55,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows, config: ExperimentConfig,
+def _write_csv(config: ExperimentConfig, out_dir, name: str, header, rows,
                extra_comments=()) -> Path:
-    """Write the CSV to a temporary sibling and rename it over ``path``.
+    """Write ``name`` into ``out_dir`` (default: the config's output directory).
 
+    The CSV goes to a temporary sibling that is renamed over the target.
     The rename is atomic, so an interrupted run leaves either the previous
     file or the complete new one, never a truncated file that still carries
     a valid provenance line.
@@ -68,6 +69,7 @@ def _write_csv(path: Path, header, rows, config: ExperimentConfig,
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
+    path = (Path(out_dir) if out_dir is not None else config.output_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -78,12 +80,11 @@ def _write_csv(path: Path, header, rows, config: ExperimentConfig,
     return path
 
 
-def _resolve_out_dir(config: ExperimentConfig, out_dir) -> Path:
-    return Path(out_dir) if out_dir is not None else config.output_dir
-
-
 def run_latency_study(config: ExperimentConfig, out_dir=None) -> Path:
-    """Mean, deviation, and worst case of every latency term per combination."""
+    """Pose-correction latency per scenario and frame structure, term by term.
+
+    Each row is the mean, deviation and worst case of one latency term.
+    """
     structures = config.frame_structures()
     exec_models = config.exec_models()
     payload_bits = config.scenario_payload_bits()
@@ -99,118 +100,106 @@ def run_latency_study(config: ExperimentConfig, out_dir=None) -> Path:
             for term, values in series.items():
                 rows.append((scenario, name, term, float(values.mean()),
                              float(values.std(ddof=0)), float(values.max()), meets))
-    out = _resolve_out_dir(config, out_dir) / "latency.csv"
-    return _write_csv(out, LATENCY_CSV_HEADER, rows, config)
+    return _write_csv(config, out_dir, "latency.csv", LATENCY_CSV_HEADER, rows)
+
+
+def _score_runs(config: ExperimentConfig, worlds, traj_ids, scenario: int, ber: float,
+                ber_key: int, trials: int):
+    """ATE RMSE of each sandbox run, per trajectory, and the unsolved frames of all runs.
+
+    Run ``trial`` of trajectory ``t`` draws from
+    ``seed_sequence(seed, 2, t, 2, scenario, ber_key, trial)``.  A run whose
+    ATE cannot be computed is logged and left out; a trajectory with no
+    scored run is left out of the returned mapping.
+    """
+    camera = CameraModel()
+    errors = {}
+    n_unsolved = 0
+    for traj_idx in traj_ids:
+        scene, truth = worlds[traj_idx]
+        for trial in range(trials):
+            estimate = run_pipeline(
+                scene, camera, truth, scenario, ber,
+                rng=seed_sequence(config.seed, STUDY_SENSITIVITY, traj_idx, 2, scenario,
+                                  ber_key, trial),
+            )
+            n_unsolved += estimate.n_unsolved
+            try:
+                rmse = ate_translation(estimate, truth).rmse
+            except SimulationError as exc:
+                log.warning("scenario %d trajectory %d ber %g trial %d: run excluded (%s)",
+                            scenario, traj_idx, ber, trial, exc)
+                continue
+            errors.setdefault(traj_idx, []).append(rmse)
+    return errors, n_unsolved
 
 
 def run_sensitivity_study(config: ExperimentConfig, out_dir=None) -> Path:
-    """Bootstrap-aggregated normalised localisation error per (scenario, BER).
+    """Normalised localisation error versus bit error rate, per scenario.
 
-    Each trajectory gets its own scene; the no-corruption run of the same
-    scenario and trajectory is the normalisation baseline.  Trajectories
-    whose error metric cannot be computed are excluded and reported.
+    Each (scenario, BER) cell is a bootstrap over per-trajectory errors,
+    and each trajectory gets its own scene.  The no-corruption run of the
+    same scenario and trajectory (BER 0, ``ber_key`` 0) is the normalisation
+    baseline, and BER ``i`` of the sorted grid is ``ber_key`` ``i + 1``.  A
+    trajectory whose baseline or every BER run cannot be scored is excluded
+    and reported; a cell with no trajectory left fails the study.
     """
     settings = config.sensitivity
-    camera = CameraModel()
-    ber_grid = list(settings["ber_grid"])
-    scenario_ids = list(settings["scenarios"])
     n_traj = settings["n_trajectories"]
-    trials = settings["trials"]
-
-    scenes = []
-    trajectories = []
-    for traj_idx in range(n_traj):
-        scenes.append(generate_scene(settings["n_landmarks"],
-                                     rng=seed_sequence(config.seed, STUDY_SENSITIVITY,
-                                                       traj_idx, 0)))
-        trajectories.append(generate_trajectory(settings["n_frames"],
-                                                rng=seed_sequence(config.seed,
-                                                                  STUDY_SENSITIVITY,
-                                                                  traj_idx, 1)))
-
+    worlds = [
+        (generate_scene(settings["n_landmarks"],
+                        rng=seed_sequence(config.seed, STUDY_SENSITIVITY, traj_idx, 0)),
+         generate_trajectory(settings["n_frames"],
+                             rng=seed_sequence(config.seed, STUDY_SENSITIVITY, traj_idx, 1)))
+        for traj_idx in range(n_traj)
+    ]
     rows = []
-    for scenario in scenario_ids:
-        baselines = {}
-        for traj_idx in range(n_traj):
-            estimate = run_pipeline(
-                scenes[traj_idx], camera, trajectories[traj_idx], scenario, 0.0,
-                rng=seed_sequence(config.seed, STUDY_SENSITIVITY, traj_idx, 2, scenario, 0, 0),
-            )
-            try:
-                baselines[traj_idx] = ate_translation(estimate, trajectories[traj_idx]).rmse
-            except SimulationError as exc:
-                log.warning("scenario %d trajectory %d: baseline excluded (%s)",
-                            scenario, traj_idx, exc)
-        for ber_idx, ber in enumerate(sorted(ber_grid)):
-            per_traj_runs = []
-            per_traj_baselines = []
-            n_unsolved = 0
-            n_excluded = 0
-            for traj_idx in range(n_traj):
-                if traj_idx not in baselines:
-                    n_excluded += 1
-                    continue
-                run_errors = []
-                for trial in range(trials):
-                    estimate = run_pipeline(
-                        scenes[traj_idx], camera, trajectories[traj_idx], scenario, ber,
-                        rng=seed_sequence(config.seed, STUDY_SENSITIVITY, traj_idx, 2,
-                                          scenario, ber_idx + 1, trial),
-                    )
-                    n_unsolved += estimate.n_unsolved
-                    try:
-                        run_errors.append(ate_translation(estimate,
-                                                          trajectories[traj_idx]).rmse)
-                    except SimulationError as exc:
-                        log.warning("scenario %d trajectory %d ber %g: run excluded (%s)",
-                                    scenario, traj_idx, ber, exc)
-                if run_errors:
-                    per_traj_runs.append(run_errors)
-                    per_traj_baselines.append(baselines[traj_idx])
-                else:
-                    n_excluded += 1
-            if not per_traj_runs:
+    for scenario in settings["scenarios"]:
+        baselines, _ = _score_runs(config, worlds, range(n_traj), scenario, 0.0, 0, 1)
+        for ber_idx, ber in enumerate(sorted(settings["ber_grid"])):
+            runs, n_unsolved = _score_runs(config, worlds, list(baselines), scenario, ber,
+                                           ber_idx + 1, settings["trials"])
+            if not runs:
                 raise SimulationError(
                     f"scenario {scenario} ber {ber}: every trajectory was excluded"
                 )
-            if n_excluded:
+            if len(runs) < n_traj:
                 log.warning("scenario %d ber %g: %d trajectories excluded",
-                            scenario, ber, n_excluded)
-            percentages = trajectory_error_percentages(per_traj_runs, per_traj_baselines)
+                            scenario, ber, n_traj - len(runs))
+            percentages = trajectory_error_percentages(
+                list(runs.values()), [baselines[traj_idx][0] for traj_idx in runs])
             stats = bootstrap_stats(percentages, n_draws=settings["bootstrap_draws"],
                                     ci_level=settings["ci_level"],
                                     rng=generator(config.seed, STUDY_SENSITIVITY, 999,
                                                   scenario, ber_idx))
             rows.append((scenario, ber, stats.mean, stats.std, stats.ci_low,
                          stats.ci_high, n_unsolved))
-    out = _resolve_out_dir(config, out_dir) / "sensitivity.csv"
-    return _write_csv(out, SENSITIVITY_CSV_HEADER, rows, config)
+    return _write_csv(config, out_dir, "sensitivity.csv", SENSITIVITY_CSV_HEADER, rows)
 
 
-def _build_channel(config: ExperimentConfig, study_id: int):
-    chan = config.ber["channel"]
+def _simulate_ber(config: ExperimentConfig, study_id: int, order: int) -> BerCurve:
+    """Monte-Carlo BER over ``ber.snr_grid_db`` on the configured channel, for one study."""
+    settings = config.ber
+    chan = settings["channel"]
     if chan["source"] == "synthetic":
-        return generate_channel(chan["antennas"], chan["users"], chan["subcarriers"],
-                                rng=seed_sequence(config.seed, study_id, 0))
-    return load_channels(chan["paths"])
+        channel = generate_channel(chan["antennas"], chan["users"], chan["subcarriers"],
+                                   rng=seed_sequence(config.seed, study_id, 0))
+    else:
+        channel = load_channels(chan["paths"])
+    return ber_curve(channel, settings["snr_grid_db"], settings["bits_per_point"],
+                     seed=seed_sequence(config.seed, study_id, 1),
+                     constellation=QamConstellation(order))
 
 
 def run_ber_study(config: ExperimentConfig, out_dir=None) -> Path:
-    """Monte-Carlo uncoded BER over the configured SNR grid and channel."""
-    settings = config.ber
-    channel = _build_channel(config, STUDY_BER)
-    curve = ber_curve(
-        channel, settings["snr_grid_db"], settings["bits_per_point"],
-        seed=seed_sequence(config.seed, STUDY_BER, 1),
-        constellation=QamConstellation(settings["modulation_order"]),
-    )
+    """Monte-Carlo uncoded BER versus post-equalisation SNR on the configured channel."""
+    curve = _simulate_ber(config, STUDY_BER, config.ber["modulation_order"])
     if curve.n_singular_subcarriers:
         log.warning("ber study: skipped %d singular subcarriers",
                     curve.n_singular_subcarriers)
     rows = [(p.snr_db, p.ber, p.n_bits, p.n_errors) for p in curve]
-    out = _resolve_out_dir(config, out_dir) / "ber.csv"
     extra = (f"# singular_subcarriers_skipped={curve.n_singular_subcarriers}",)
-    return _write_csv(out, BER_CSV_HEADER, rows, config, extra_comments=extra)
+    return _write_csv(config, out_dir, "ber.csv", BER_CSV_HEADER, rows, extra_comments=extra)
 
 
 def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
@@ -219,12 +208,7 @@ def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
     budget = LinkBudgetConfig(**settings["link_budget"])
     curve = None
     if settings["mode"] == "simulated":
-        channel = _build_channel(config, STUDY_POWER)
-        curve = ber_curve(
-            channel, config.ber["snr_grid_db"], config.ber["bits_per_point"],
-            seed=seed_sequence(config.seed, STUDY_POWER, 1),
-            constellation=QamConstellation(settings["modulation_order"]),
-        )
+        curve = _simulate_ber(config, STUDY_POWER, settings["modulation_order"])
     rows = []
     for target in settings["ber_targets"]:
         if curve is None:
@@ -233,14 +217,18 @@ def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
             snr_db = snr_target_from_curve(target, [(p.snr_db, p.ber) for p in curve])
         power = required_tx_power(snr_db, budget)
         rows.append((target, snr_db, power.dbm, power.mw))
-    out = _resolve_out_dir(config, out_dir) / "power.csv"
-    return _write_csv(out, POWER_CSV_HEADER, rows, config)
+    return _write_csv(config, out_dir, "power.csv", POWER_CSV_HEADER, rows)
 
 
 def run_all(config: ExperimentConfig, out_dir=None) -> list:
-    return [
-        run_latency_study(config, out_dir),
-        run_sensitivity_study(config, out_dir),
-        run_ber_study(config, out_dir),
-        run_power_study(config, out_dir),
-    ]
+    """Run every study."""
+    return [study(config, out_dir) for study in STUDIES.values()]
+
+
+# Each study by its CLI subcommand name, in the order ``run_all`` runs them.
+STUDIES = {
+    "latency": run_latency_study,
+    "sensitivity": run_sensitivity_study,
+    "ber": run_ber_study,
+    "power": run_power_study,
+}

@@ -208,11 +208,33 @@ class TestValidation:
         assert len(cfg.hash) == 16
 
     def test_simulated_power_targets_inside_the_snr_grid(self):
-        # The default grid tops out at 24.32 dB, where the analytic BER is 9.7e-5.
-        with pytest.raises(ConfigurationError, match=r"^power\.ber_targets: \[1e-05\] outside"):
+        # The default grid tops out at 24.32 dB, where the exact BER is 9.71e-5;
+        # 3 standard errors of 1e7 bits put the lowest checkable BER at 1.064e-4,
+        # so a measured curve need not reach 1e-4.
+        with pytest.raises(ConfigurationError,
+                           match=r"^power\.ber_targets: \[0\.0001, 1e-05\] outside \[1\.064e-04, "):
             build_config({"power": {"mode": "simulated", "ber_targets": [1e-4, 1e-5]}})
-        assert build_config({"power": {"mode": "simulated", "ber_targets": [1e-4]}})
+        with pytest.raises(ConfigurationError, match=r"^power\.ber_targets: \[0\.0001\] outside"):
+            build_config({"power": {"mode": "simulated", "ber_targets": [1e-4]}})
+        assert build_config({"power": {"mode": "simulated", "ber_targets": [1.1e-4, 0.15]}})
         assert build_config({"power": {"mode": "analytic", "ber_targets": [1e-4, 1e-5]}})
+
+    @pytest.mark.parametrize("snr_db, target", [([-1e300, 10.0], 0.3), ([10.0, 1e300], 1e-2)],
+                             ids=["low", "high"])
+    def test_simulated_power_check_takes_any_finite_grid(self, snr_db, target):
+        # Grid ends at 0 and inf in linear SNR, where the exact BER is 1/2 and 0.
+        cfg = build_config({"ber": {"snr_grid_db": snr_db},
+                            "power": {"mode": "simulated", "ber_targets": [target]}})
+        assert cfg.ber["snr_grid_db"] == snr_db
+        with pytest.raises(ConfigurationError, match=r"^power\.ber_targets: "):
+            build_config({"ber": {"snr_grid_db": snr_db},
+                          "power": {"mode": "simulated", "ber_targets": [0.4999]}})
+
+    def test_sensitivity_needs_three_frames(self):
+        # ATE needs 3 associated poses, so 2 frames could only fail inside the study.
+        with pytest.raises(ConfigurationError, match=r"^sensitivity\.n_frames: "):
+            build_config({"sensitivity": {"n_frames": 2}})
+        assert build_config({"sensitivity": {"n_frames": 3}}).sensitivity["n_frames"] == 3
 
     def test_bad_type_messages(self):
         with pytest.raises(ConfigurationError, match="seed"):

@@ -193,8 +193,7 @@ class TestSceneSeparation:
     def scene_with(self, descriptors):
         n = len(descriptors)
         return Scene(positions=np.arange(3 * n, dtype=float).reshape(n, 3),
-                     descriptors=descriptors, intensities=np.zeros(n, np.uint8),
-                     bounds=SCENES["generated"].bounds)
+                     descriptors=descriptors, intensities=np.zeros(n, np.uint8))
 
     def test_duplicated_descriptor_rejected(self):
         descriptors = generate_scene(8, rng=62).descriptors.copy()

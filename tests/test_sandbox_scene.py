@@ -7,22 +7,21 @@ import pytest
 
 from xrmimo.exceptions import ConfigurationError
 from xrmimo.sandbox import (
-    Box,
     CameraModel,
     GroundTruthTrajectory,
     MAX_FEATURES_PER_FRAME,
     MIN_DESCRIPTOR_HAMMING,
     Scene,
-    default_bounds,
     descriptor_distances,
     generate_scene,
     generate_trajectory,
     observe,
 )
+from xrmimo.sandbox.scene import ROOM_SIZE_M
 
 
-def inside(box, points):
-    return np.all((points >= box.lo) & (points <= box.hi), axis=-1)
+def inside(points):
+    return np.all((points >= 0.0) & (points <= np.asarray(ROOM_SIZE_M)), axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +40,9 @@ def axis_scene(extra_landmarks=()):
     for i in range(n):
         descriptors[i, :8] = 0
         descriptors[i, i % 8] = 0xFF
-    bounds = Box(lo=np.array([-5.0, -5.0, -5.0]), hi=np.array([5.0, 5.0, 5.0]))
     return Scene(positions=positions,
                  descriptors=descriptors,
-                 intensities=rng.integers(0, 256, n, dtype=np.uint8),
-                 bounds=bounds)
+                 intensities=rng.integers(0, 256, n, dtype=np.uint8))
 
 
 IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
@@ -98,7 +95,7 @@ class TestScene:
 
     def test_landmarks_inside_bounds(self):
         scene = generate_scene(128, rng=7)
-        assert inside(scene.bounds, scene.positions).all()
+        assert inside(scene.positions).all()
 
     def test_descriptor_separation_exhaustive_large(self):
         scene = generate_scene(2000, rng=8)
@@ -106,12 +103,11 @@ class TestScene:
         np.fill_diagonal(dist, 10_000)
         assert int(dist.min()) >= MIN_DESCRIPTOR_HAMMING
 
-    def test_box_validation(self):
-        with pytest.raises(ConfigurationError):
-            Box(lo=np.zeros(3), hi=np.zeros(3))
-
     def test_default_bounds_size(self):
-        assert default_bounds().size == pytest.approx([4.2, 2.5, 2.5])
+        # Landmarks fill the 4.2 x 2.5 x 2.5 m room from its corner at the origin.
+        positions = generate_scene(400, rng=7).positions
+        assert positions.min(axis=0) == pytest.approx([0.0, 0.0, 0.0], abs=0.05)
+        assert positions.max(axis=0) == pytest.approx([4.2, 2.5, 2.5], abs=0.05)
 
 
 def bytewise_distances(a, b) -> np.ndarray:
@@ -168,7 +164,7 @@ class TestDescriptorDistances:
 class TestTrajectory:
     def test_two_frames_inside_bounds(self):
         traj = generate_trajectory(2, rng=9)
-        assert inside(default_bounds(), traj.positions).all()
+        assert inside(traj.positions).all()
 
     def test_unit_quaternions(self):
         traj = generate_trajectory(50, rng=10)
@@ -179,7 +175,7 @@ class TestTrajectory:
         traj = generate_trajectory(100, rng=11)
         steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
         assert steps.max() < 0.1
-        assert inside(default_bounds(), traj.positions).all()
+        assert inside(traj.positions).all()
 
     def test_timestamps_strictly_increasing(self):
         traj = generate_trajectory(20, rng=12)
@@ -265,8 +261,7 @@ class TestObserve:
         positions = np.vstack([[0.0, 0.0, 1.0], extra])
         scene = Scene(positions=positions,
                       descriptors=rng.integers(0, 256, (n_extra + 1, 32), dtype=np.uint8),
-                      intensities=rng.integers(0, 256, n_extra + 1, dtype=np.uint8),
-                      bounds=Box(lo=np.full(3, -5.0), hi=np.full(3, 5.0)))
+                      intensities=rng.integers(0, 256, n_extra + 1, dtype=np.uint8))
         feats = observe(scene, camera, np.zeros(3), IDENTITY_QUAT)
         assert len(feats) == MAX_FEATURES_PER_FRAME
         assert landmark_ids(scene, feats)[0] == 0  # on the optical axis

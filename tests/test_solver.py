@@ -29,7 +29,6 @@ from xrmimo.sandbox import (
     solve_pose,
     solve_poses,
 )
-from xrmimo.sandbox.scene import Box
 from xrmimo.sandbox.solver import SOLVE_CHUNK_FRAMES
 from xrmimo.seeding import seed_sequence
 
@@ -305,13 +304,11 @@ def assert_same_bytes(estimate, reference):
 
 def invisible_scene():
     """Landmarks clustered behind the camera path: every frame degenerate."""
-    bounds = Box(lo=np.array([-10.0, -10.0, -10.0]), hi=np.array([10.0, 10.0, 10.0]))
     rng = np.random.default_rng(14)
     return Scene(
         positions=np.full((4, 3), [-9.0, -9.0, -9.0]) + 0.1 * rng.random((4, 3)),
         descriptors=rng.integers(0, 256, (4, 32), dtype=np.uint8),
         intensities=rng.integers(0, 256, 4, dtype=np.uint8),
-        bounds=bounds,
     )
 
 

@@ -1,14 +1,18 @@
 """Study orchestration and CLI tests (reduced-size configs)."""
 
+import argparse
 import errno
 import hashlib
+import logging
 from pathlib import Path
 
 import pytest
 
 from xrmimo import cli
 from xrmimo.config import build_config
+from xrmimo.exceptions import SimulationError
 from xrmimo.studies import (
+    STUDIES,
     run_all,
     run_ber_study,
     run_latency_study,
@@ -22,6 +26,17 @@ SMALL_SENSITIVITY = {
     "n_landmarks": 150,
     "bootstrap_draws": 500,
     "ber_grid": [1e-4, 1e-2],
+}
+# Only 25 landmarks: some runs keep fewer than the 3 poses ATE needs.  At
+# seed 12345 this excludes one baseline (scenario 3, trajectory 2), single
+# trials (scenario 3, trajectory 3, BER 1e-2) and whole trajectories.
+EXCLUDING_SENSITIVITY = {
+    "n_trajectories": 4,
+    "n_frames": 12,
+    "n_landmarks": 25,
+    "bootstrap_draws": 200,
+    "ber_grid": [1e-4, 1e-2],
+    "trials": 2,
 }
 SMALL_BER = {
     "bits_per_point": 100_000,
@@ -90,6 +105,14 @@ class TestSensitivityStudy:
         _, rows = read_rows(run_sensitivity_study(cfg))
         assert len(rows) == 3 * 2
         assert [r["boot_std_pct"] for r in rows] == ["0"] * len(rows)
+
+    def test_every_trajectory_excluded_raises(self, tmp_path):
+        # Six landmarks solve no frame, so every scenario-1 baseline fails.
+        cfg = build_config({"output_dir": str(tmp_path),
+                            "sensitivity": {**EXCLUDING_SENSITIVITY, "n_landmarks": 6}})
+        with pytest.raises(SimulationError,
+                           match=r"^scenario 1 ber 0\.0001: every trajectory was excluded$"):
+            run_sensitivity_study(cfg)
 
 
 class TestBerStudy:
@@ -197,8 +220,36 @@ class TestPinnedBytes:
         path = study(build_config(self.CONFIG), out_dir=tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_sensitivity_exclusions_sha256(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="xrmimo"):
+            path = run_sensitivity_study(build_config({"sensitivity": EXCLUDING_SENSITIVITY}),
+                                         out_dir=tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fd0ab7018d9858e96444d0b947563f13efbe99848da73c179ac63761d67d8202")
+        # Every excluded run and every cell that lost trajectories is logged.
+        assert [m.split(" (")[0] for m in caplog.messages] == [
+            "scenario 1 trajectory 2 ber 0.01 trial 0: run excluded",
+            "scenario 1 trajectory 2 ber 0.01 trial 1: run excluded",
+            "scenario 1 ber 0.01: 1 trajectories excluded",
+            "scenario 2 trajectory 2 ber 0.01 trial 0: run excluded",
+            "scenario 2 trajectory 2 ber 0.01 trial 1: run excluded",
+            "scenario 2 ber 0.01: 1 trajectories excluded",
+            "scenario 3 trajectory 2 ber 0 trial 0: run excluded",
+            "scenario 3 ber 0.0001: 1 trajectories excluded",
+            "scenario 3 trajectory 1 ber 0.01 trial 0: run excluded",
+            "scenario 3 trajectory 1 ber 0.01 trial 1: run excluded",
+            "scenario 3 trajectory 3 ber 0.01 trial 0: run excluded",
+            "scenario 3 ber 0.01: 2 trajectories excluded",
+        ]
+
 
 class TestCli:
+    def test_subcommands_are_the_study_table_and_all(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [*STUDIES, "all"]
+        assert list(STUDIES) == ["latency", "sensitivity", "ber", "power"]
+
     def test_latency_subcommand(self, tmp_path, capsys):
         code = cli.main(["latency", "--out", str(tmp_path), "--trials", "4"])
         assert code == 0
