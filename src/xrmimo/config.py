@@ -335,12 +335,21 @@ class ExperimentConfig:
 def build_config(fragment: dict | None = None) -> ExperimentConfig:
     """Validate a config fragment and resolve it over the defaults."""
     resolved = _resolve(SCHEMA, fragment or {}, "<config>")
-    if resolved["ber"]["channel"]["source"] == "synthetic":
-        chan = resolved["ber"]["channel"]
+    chan = resolved["ber"]["channel"]
+    if chan["source"] == "synthetic":
         if chan["antennas"] <= chan["users"]:
             _fail("ber.channel", "antennas must exceed users")
-    elif not resolved["ber"]["channel"]["paths"]:
-        _fail("ber.channel.paths", "file source needs at least one path")
+    else:
+        if not chan["paths"]:
+            _fail("ber.channel.paths", "file source needs at least one path")
+        # Channel files are read only when the BER study starts: check them now.
+        for i, name in enumerate(chan["paths"]):
+            try:
+                is_file = Path(name).is_file()
+            except OSError:  # a name the file system rejects, such as one too long
+                is_file = False
+            if not is_file:
+                _fail(f"ber.channel.paths[{i}]", f"{name!r} is not an existing regular file")
     budget = resolved["power"]["link_budget"]
     if budget["antennas"] <= budget["users"]:
         _fail("power.link_budget", "antennas must exceed users")

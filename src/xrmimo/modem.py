@@ -21,16 +21,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .exceptions import FramingError
 
 VALID_QAM_ORDERS = (4, 16, 64)
 
+# ``math.erfc`` takes one float; qfunc takes arrays.
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
 
 def qfunc(x):
     """Gaussian tail probability Q(x)."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def _gray_codes(n_levels: int) -> np.ndarray:

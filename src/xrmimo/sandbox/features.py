@@ -14,9 +14,9 @@ the wire encodings bit-exactly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .camera import CameraModel
+from .rotations import quat_to_matrix
 from .scene import DESCRIPTOR_BYTES, Scene
 
 MAX_FEATURES_PER_FRAME = 1536
@@ -43,7 +43,7 @@ def observe(scene: Scene, camera: CameraModel, position, quaternion) -> np.ndarr
     resolved by landmark index).  Fewer than 4 rows means the frame is
     degenerate for pose solving; the caller decides how to flag it.
     """
-    r_wc = Rotation.from_quat(np.asarray(quaternion, dtype=float)).as_matrix()
+    r_wc = quat_to_matrix(quaternion)
     pts_cam = (scene.positions - np.asarray(position, dtype=float)) @ r_wc
     z = pts_cam[:, 2]
     idx = np.flatnonzero((z >= camera.depth_min) & (z <= camera.depth_max))

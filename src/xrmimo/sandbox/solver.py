@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from ..metrics import umeyama_align_stacked
 from .camera import CameraModel
 from .features import MIN_FEATURES_FOR_POSE
 from .matching import MATCH_DTYPE
+from .rotations import matrix_to_quat, rotvec_to_matrix
 
 HUBER_DELTA_PX = 2.0
 MAX_TRIM_ROUNDS = 5
@@ -135,7 +135,7 @@ def solve_poses(correspondences, camera: CameraModel):
         solved[done] = True
         positions[done] = -np.einsum("bij,bj->bi", rotation_wc, translation[ok])
         if done.size:
-            quaternions[done] = Rotation.from_matrix(rotation_wc).as_quat()
+            quaternions[done] = matrix_to_quat(rotation_wc)
         n_inliers[done] = kept[ok]
     return solved, positions, quaternions, n_inliers
 
@@ -227,7 +227,7 @@ def _refine(rotation, translation, world, pixels, keep, solved, camera) -> None:
         step, singular = _solve_normal_equations(hessian, -gradient)
         move = ~singular
         if move.any():
-            turn = Rotation.from_rotvec(step[move, :3]).as_matrix()
+            turn = rotvec_to_matrix(step[move, :3])
             rotation[rows[move]] = np.einsum("bij,bjk->bik", turn, rot[move])
             translation[rows[move]] = trans[move] + step[move, 3:]
         rows = rows[move & ~(np.linalg.norm(step, axis=1) < STEP_TOLERANCE)]

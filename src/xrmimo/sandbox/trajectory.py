@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from ..exceptions import ConfigurationError
 from ..seeding import as_generator
+from .rotations import matrix_to_quat
 from .scene import ROOM_SIZE_M
 
 DEFAULT_FRAME_RATE_HZ = 30.0
@@ -129,7 +129,9 @@ def generate_trajectory(n_frames: int, rng=0) -> GroundTruthTrajectory:
 
     r_wc = np.stack([_camera_to_world_rotation(float(yaw[i]), float(pitch[i]))
                      for i in range(n_frames)])
-    quaternions = Rotation.from_matrix(r_wc).as_quat()
+    quaternions = matrix_to_quat(r_wc)
+    # A second normalisation of unit quaternions still moves some last
+    # bits, and the study outputs are pinned to those bits.
     norms = np.linalg.norm(quaternions, axis=1, keepdims=True)
     quaternions /= norms
 

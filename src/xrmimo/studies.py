@@ -177,8 +177,13 @@ def run_sensitivity_study(config: ExperimentConfig, out_dir=None) -> Path:
     return _write_csv(config, out_dir, "sensitivity.csv", SENSITIVITY_CSV_HEADER, rows)
 
 
-def _simulate_ber(config: ExperimentConfig, study_id: int, order: int) -> BerCurve:
-    """Monte-Carlo BER over ``ber.snr_grid_db`` on the configured channel, for one study."""
+def _simulate_ber(config: ExperimentConfig, study_id: int, order: int) -> tuple[BerCurve, tuple]:
+    """Monte-Carlo BER over ``ber.snr_grid_db`` on the configured channel, for one study.
+
+    Serves the BER study and the simulated power study.  Returns the curve
+    and the CSV comment line counting the singular subcarriers skipped,
+    which are also logged.
+    """
     settings = config.ber
     chan = settings["channel"]
     if chan["source"] == "synthetic":
@@ -186,19 +191,20 @@ def _simulate_ber(config: ExperimentConfig, study_id: int, order: int) -> BerCur
                                    rng=seed_sequence(config.seed, study_id, 0))
     else:
         channel = load_channels(chan["paths"])
-    return ber_curve(channel, settings["snr_grid_db"], settings["bits_per_point"],
-                     seed=seed_sequence(config.seed, study_id, 1),
-                     constellation=QamConstellation(order))
+    curve = ber_curve(channel, settings["snr_grid_db"], settings["bits_per_point"],
+                      seed=seed_sequence(config.seed, study_id, 1),
+                      constellation=QamConstellation(order))
+    skipped = curve.n_singular_subcarriers
+    if skipped:
+        log.warning("%s study: skipped %d singular subcarriers",
+                    "ber" if study_id == STUDY_BER else "power", skipped)
+    return curve, (f"# singular_subcarriers_skipped={skipped}",)
 
 
 def run_ber_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Monte-Carlo uncoded BER versus post-equalisation SNR on the configured channel."""
-    curve = _simulate_ber(config, STUDY_BER, config.ber["modulation_order"])
-    if curve.n_singular_subcarriers:
-        log.warning("ber study: skipped %d singular subcarriers",
-                    curve.n_singular_subcarriers)
+    curve, extra = _simulate_ber(config, STUDY_BER, config.ber["modulation_order"])
     rows = [(p.snr_db, p.ber, p.n_bits, p.n_errors) for p in curve]
-    extra = (f"# singular_subcarriers_skipped={curve.n_singular_subcarriers}",)
     return _write_csv(config, out_dir, "ber.csv", BER_CSV_HEADER, rows, extra_comments=extra)
 
 
@@ -206,9 +212,9 @@ def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Required device transmit power for each target uncoded BER."""
     settings = config.power
     budget = LinkBudgetConfig(**settings["link_budget"])
-    curve = None
+    curve, extra = None, ()
     if settings["mode"] == "simulated":
-        curve = _simulate_ber(config, STUDY_POWER, settings["modulation_order"])
+        curve, extra = _simulate_ber(config, STUDY_POWER, settings["modulation_order"])
     rows = []
     for target in settings["ber_targets"]:
         if curve is None:
@@ -217,7 +223,8 @@ def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
             snr_db = snr_target_from_curve(target, [(p.snr_db, p.ber) for p in curve])
         power = required_tx_power(snr_db, budget)
         rows.append((target, snr_db, power.dbm, power.mw))
-    return _write_csv(config, out_dir, "power.csv", POWER_CSV_HEADER, rows)
+    return _write_csv(config, out_dir, "power.csv", POWER_CSV_HEADER, rows,
+                      extra_comments=extra)
 
 
 def run_all(config: ExperimentConfig, out_dir=None) -> list:

@@ -136,6 +136,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="paths"):
             build_config({"ber": {"channel": {"source": "files"}}})
 
+    @pytest.mark.parametrize("bad", ["missing.bin", ".", "x" * 300])
+    def test_channel_paths_must_be_existing_files(self, tmp_path, bad):
+        (tmp_path / "ch.bin").write_bytes(b"")
+        paths = [str(tmp_path / "ch.bin"), str(tmp_path / bad)]
+        with pytest.raises(ConfigurationError,
+                           match=r"^ber\.channel\.paths\[1\]: .* is not an existing regular file$"):
+            build_config({"ber": {"channel": {"source": "files", "paths": paths}}})
+
     def test_channel_antennas_exceed_users(self):
         with pytest.raises(ConfigurationError, match="antennas"):
             build_config({"ber": {"channel": {"antennas": 4, "users": 4}}})

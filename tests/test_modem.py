@@ -1,7 +1,10 @@
 """Gray-QAM modem and analytic BER reference tests."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from xrmimo.exceptions import FramingError
 from xrmimo.modem import QamConstellation, qam_ber_approx, qam_ber_exact, qfunc
@@ -137,3 +140,13 @@ class TestAnalyticBer:
     def test_qfunc_known_values(self):
         assert qfunc(0.0) == pytest.approx(0.5)
         assert qfunc(1.6448536269514722) == pytest.approx(0.05, rel=1e-9)
+
+    def test_qfunc_matches_scipy_erfc(self):
+        x = np.linspace(-10.0, 20.0, 30001)
+        reference = 0.5 * special.erfc(x / math.sqrt(2.0))
+        assert np.all(np.abs(qfunc(x) - reference) <= 1e-13 * reference)
+
+    def test_qfunc_keeps_shape(self):
+        assert isinstance(qfunc(1.0), np.float64)
+        assert qfunc([[1.0, 2.0]]).shape == (1, 2)
+        assert qfunc([]).shape == (0,)

@@ -11,6 +11,7 @@ import pytest
 from xrmimo import cli
 from xrmimo.config import build_config
 from xrmimo.exceptions import SimulationError
+from xrmimo.mimo import generate_channel, save_channel
 from xrmimo.studies import (
     STUDIES,
     run_all,
@@ -153,6 +154,24 @@ class TestPowerStudy:
         _, rows = read_rows(run_power_study(cfg))
         snr = float(rows[0]["snr_db"])
         assert 16.0 <= snr <= 22.0
+
+    def test_simulated_mode_reports_singular_subcarriers(self, tmp_path, caplog):
+        channel = generate_channel(16, 4, 64, rng=5)
+        channel.gains[[3, 10, 11, 40, 63], :, 1] = channel.gains[[3, 10, 11, 40, 63], :, 0]
+        save_channel(channel, tmp_path / "ch.bin")
+        cfg = build_config({
+            "output_dir": str(tmp_path),
+            "ber": {"bits_per_point": 50_000, "snr_grid_db": [10.0, 16.0], "modulation_order": 16,
+                    "channel": {"source": "files", "paths": [str(tmp_path / "ch.bin")]}},
+            "power": {"mode": "simulated", "modulation_order": 16, "ber_targets": [1e-2]},
+        })
+        with caplog.at_level(logging.WARNING, logger="xrmimo"):
+            power = run_power_study(cfg).read_text()
+            ber = run_ber_study(cfg).read_text()
+        assert "# singular_subcarriers_skipped=5\n" in power
+        assert "# singular_subcarriers_skipped=5\n" in ber
+        assert caplog.messages == ["power study: skipped 5 singular subcarriers",
+                                   "ber study: skipped 5 singular subcarriers"]
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = build_config({"output_dir": str(tmp_path)})
