@@ -27,9 +27,5 @@ class ChannelFileError(SimulationError):
         self.offset = offset
 
 
-class GenerationError(SimulationError):
-    """Synthetic content generation exhausted its rejection budget."""
-
-
 class AlignmentError(SimulationError):
     """Point sets cannot be aligned (too few or degenerate points)."""

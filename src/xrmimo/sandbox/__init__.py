@@ -16,7 +16,7 @@ from .features import (
     observe,
 )
 from .matching import MATCH_DTYPE, match_features
-from .payload import FEATURE_SLOTS, decode_payload, encode_payload, payload_num_bytes
+from .payload import decode_payload, encode_payload, payload_num_bytes
 from .pipeline import run_pipeline
 from .scene import (
     DESCRIPTOR_BYTES,
@@ -41,7 +41,6 @@ from .trajectory import (
 __all__ = [
     "CameraModel",
     "DESCRIPTOR_BYTES",
-    "FEATURE_SLOTS",
     "GroundTruthTrajectory",
     "MATCH_DTYPE",
     "MAX_FEATURES_PER_FRAME",

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, GenerationError
+from ..exceptions import ConfigurationError
 from ..seeding import as_generator
 
 DESCRIPTOR_BYTES = 32
 MIN_DESCRIPTOR_HAMMING = 80
 ROOM_SIZE_M = (4.2, 2.5, 2.5)  # generated landmarks and trajectories lie in [0, size]
-MAX_ATTEMPTS_PER_LANDMARK = 64
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,10 @@ class Scene:
             raise ConfigurationError(f"descriptors must be (n, {DESCRIPTOR_BYTES}) bytes")
         if intensities.shape != (n,):
             raise ConfigurationError("intensities must be (n,)")
-        dist = descriptor_distances(descriptors, descriptors)
-        np.fill_diagonal(dist, DESCRIPTOR_BYTES * 8)
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[i, j] < MIN_DESCRIPTOR_HAMMING:
+        i, j, distance = _closest_pair(descriptors)
+        if distance < MIN_DESCRIPTOR_HAMMING:
             raise ConfigurationError(
-                f"descriptors of landmarks {i} and {j} are {dist[i, j]} bits apart, "
+                f"descriptors of landmarks {i} and {j} are {distance} bits apart, "
                 f"need >= {MIN_DESCRIPTOR_HAMMING}"
             )
         object.__setattr__(self, "positions", positions)
@@ -83,34 +80,28 @@ def descriptor_distances(a, b) -> np.ndarray:
     return out
 
 
-def generate_scene(n_landmarks: int, rng=0) -> Scene:
-    """Uniform landmarks in the room with rejection-separated descriptors.
+def _closest_pair(descriptors) -> tuple[int, int, int]:
+    """(i, j, Hamming distance) of the first closest pair of distinct rows, i < j."""
+    dist = descriptor_distances(descriptors, descriptors)
+    np.fill_diagonal(dist, DESCRIPTOR_BYTES * 8)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return int(i), int(j), int(dist[i, j])
 
-    Random 256-bit descriptors almost never collide below distance 80, so
-    the rejection loop is effectively free; the budget guards pathological
-    generator states.
+
+def generate_scene(n_landmarks: int, rng=0) -> Scene:
+    """Uniform landmarks in the room with separated random descriptors.
+
+    The descriptors are drawn as one block, redrawn whole while any pair is
+    closer than ``MIN_DESCRIPTOR_HAMMING`` bits; at 400 landmarks that
+    happens to one draw in about 30 000.
     """
     if n_landmarks < 4:
         raise ConfigurationError("n_landmarks must be >= 4")
     gen = as_generator(rng)
     positions = gen.uniform(0.0, ROOM_SIZE_M, size=(n_landmarks, 3))
-
-    descriptors = np.empty((n_landmarks, DESCRIPTOR_BYTES), dtype=np.uint8)
-    budget = n_landmarks * MAX_ATTEMPTS_PER_LANDMARK
-    accepted = 0
-    while accepted < n_landmarks:
-        if budget <= 0:
-            raise GenerationError(
-                f"descriptor rejection budget exhausted after accepting {accepted} landmarks"
-            )
-        budget -= 1
-        candidate = gen.integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8)
-        if accepted:
-            dist = descriptor_distances(candidate[None, :], descriptors[:accepted])
-            if int(dist.min()) < MIN_DESCRIPTOR_HAMMING:
-                continue
-        descriptors[accepted] = candidate
-        accepted += 1
-
+    shape = (n_landmarks, DESCRIPTOR_BYTES)
+    descriptors = gen.integers(0, 256, size=shape, dtype=np.uint8)
+    while _closest_pair(descriptors)[2] < MIN_DESCRIPTOR_HAMMING:
+        descriptors = gen.integers(0, 256, size=shape, dtype=np.uint8)
     intensities = gen.integers(0, 256, size=n_landmarks, dtype=np.uint8)
     return Scene(positions=positions, descriptors=descriptors, intensities=intensities)

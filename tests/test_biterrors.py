@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from xrmimo.biterrors import corrupt, flip_bits, sample_error_count, sample_flip_positions
-from xrmimo.sandbox import FEATURE_SLOTS, RECORD_WITH_DEPTH_DTYPE, CameraModel, decode_payload
+from xrmimo.sandbox import (
+    MAX_FEATURES_PER_FRAME,
+    RECORD_WITH_DEPTH_DTYPE,
+    CameraModel,
+    decode_payload,
+)
 from xrmimo.sandbox.payload import _clamp
 
 
@@ -171,7 +176,7 @@ class TestSanitize:
 
     @pytest.mark.parametrize("valid_byte", [0, 1, 2, 128, 255])
     def test_any_nonzero_valid_byte_decodes(self, valid_byte):
-        records = np.zeros(FEATURE_SLOTS, dtype=RECORD_WITH_DEPTH_DTYPE)
+        records = np.zeros(MAX_FEATURES_PER_FRAME, dtype=RECORD_WITH_DEPTH_DTYPE)
         records[0]["u"], records[0]["v"], records[0]["depth"] = 10.0, 20.0, 1.5
         records[0]["valid"] = valid_byte
         decoded = decode_payload(records.tobytes(), 3, CameraModel())

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from test_biterrors import hamming_distance
 import xrmimo.sandbox.payload as payload_module
 from xrmimo.biterrors import corrupt
-from xrmimo.exceptions import FramingError
+from xrmimo.exceptions import ConfigurationError, FramingError
 from xrmimo.scenarios import SCENARIO_IDS, SCENARIO_UL_BYTES
 from xrmimo.sandbox import (
     CameraModel,
-    FEATURE_SLOTS,
+    MAX_FEATURES_PER_FRAME,
     RECORD_DTYPE,
     RECORD_WITH_DEPTH_DTYPE,
     decode_payload,
@@ -66,7 +66,7 @@ class TestPayloadSizes:
     def test_record_layout_sizes(self):
         assert RECORD_DTYPE.itemsize == 48
         assert RECORD_WITH_DEPTH_DTYPE.itemsize == 56
-        assert FEATURE_SLOTS * RECORD_WITH_DEPTH_DTYPE.itemsize == 86_016
+        assert MAX_FEATURES_PER_FRAME * RECORD_WITH_DEPTH_DTYPE.itemsize == 86_016
 
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     def test_encoded_length_matches(self, scenario):
@@ -151,40 +151,59 @@ def test_corrupted_codec_path_golden(scenario):
     assert (len(decoded), codec_digest(decoded)) == CODEC_GOLDEN[scenario]
 
 
-def offsets_encode(features, scenario, camera) -> bytes:
-    """Scenario 1 and 2 encoders as a fancy-index scatter of each record byte."""
-    records = payload_module._build_records(features, RECORD_DTYPE)
-    depth = payload_module._depth_image(features, camera).tobytes()
+def oracle_layout(scenario, camera):
+    """(record dtype, slot stride, record-region bytes, has a depth image), written out."""
+    pixels = camera.width * camera.height
+    if scenario == 1:
+        return RECORD_DTYPE, pixels // 1536, pixels, True
     if scenario == 2:
-        return records.tobytes() + depth
-    stride = payload_module._patch_stride(camera)
-    image = payload_module._background_image(camera).flatten()
-    offsets = (np.arange(FEATURE_SLOTS) * stride)[:, None] + np.arange(RECORD_DTYPE.itemsize)
-    image[offsets] = records.view(np.uint8).reshape(FEATURE_SLOTS, RECORD_DTYPE.itemsize)
-    return image.tobytes() + depth
+        return RECORD_DTYPE, 48, 1536 * 48, True
+    return RECORD_WITH_DEPTH_DTYPE, 56, 1536 * 56, False
+
+
+def slot_offsets(stride, itemsize):
+    """(1536, itemsize) byte offsets of every record slot in the region."""
+    return (np.arange(MAX_FEATURES_PER_FRAME) * stride)[:, None] + np.arange(itemsize)
+
+
+def offsets_encode(features, scenario, camera) -> bytes:
+    """The encoders as a fancy-index scatter of each record byte into a zero region."""
+    dtype, stride, region_bytes, has_depth = oracle_layout(scenario, camera)
+    records = np.zeros(MAX_FEATURES_PER_FRAME, dtype=dtype)
+    for name in dtype.names:
+        records[name][:len(features)] = features[name]
+    region = np.zeros(region_bytes, dtype=np.uint8)
+    region[slot_offsets(stride, dtype.itemsize)] = records.view(np.uint8).reshape(
+        MAX_FEATURES_PER_FRAME, dtype.itemsize)
+    if not has_depth:
+        return region.tobytes()
+    depth = np.zeros((camera.height, camera.width), dtype="<u2")
+    for u, v, metres in zip(features["u"], features["v"], features["depth"]):
+        px = int(min(max(np.rint(u), 0), camera.width - 1))
+        py = int(min(max(np.rint(v), 0), camera.height - 1))
+        depth[py, px] = min(max(np.rint(metres * 1000.0), 0), 65535)  # the later feature wins
+    return region.tobytes() + depth.tobytes()
 
 
 def offsets_decode(payload, scenario, camera):
-    """Scenario 1 and 2 decoders that gather records by fancy index and slice the bytes."""
+    """The decoders as a fancy-index gather of each record byte, slicing the depth image."""
     clamp = payload_module._clamp
-    image_bytes = camera.width * camera.height
-    if scenario == 2:
-        split = FEATURE_SLOTS * RECORD_DTYPE.itemsize
-        records = np.frombuffer(payload[:split], dtype=RECORD_DTYPE)
-    else:
-        split = image_bytes
-        stride = payload_module._patch_stride(camera)
-        image = np.frombuffer(payload[:image_bytes], dtype=np.uint8)
-        offsets = (np.arange(FEATURE_SLOTS) * stride)[:, None] + np.arange(RECORD_DTYPE.itemsize)
-        records = image[offsets].reshape(-1).view(RECORD_DTYPE)
-    depth_image = np.frombuffer(payload[split:], dtype="<u2").reshape(camera.height, camera.width)
+    dtype, stride, region_bytes, has_depth = oracle_layout(scenario, camera)
+    region = np.frombuffer(payload[:region_bytes], dtype=np.uint8)
+    records = region[slot_offsets(stride, dtype.itemsize)].reshape(-1).view(dtype)
     records = records[records["valid"] != 0]
     with np.errstate(invalid="ignore"):
         u = clamp(records["u"], 0.0, float(camera.width - 1))
         v = clamp(records["v"], 0.0, float(camera.height - 1))
         score = clamp(records["score"], 0.0, 1.0)
-    px = np.clip(np.rint(u), 0, camera.width - 1).astype(int)
-    py = np.clip(np.rint(v), 0, camera.height - 1).astype(int)
+    if has_depth:
+        depth_image = np.frombuffer(payload[region_bytes:], dtype="<u2").reshape(
+            camera.height, camera.width)
+        px = np.clip(np.rint(u), 0, camera.width - 1).astype(int)
+        py = np.clip(np.rint(v), 0, camera.height - 1).astype(int)
+        depth = depth_image[py, px] / 1000.0
+    else:
+        depth = records["depth"]
     decoded = np.zeros(len(records), dtype=RECORD_WITH_DEPTH_DTYPE)
     decoded["descriptor"] = records["descriptor"]
     decoded["u"] = u
@@ -192,7 +211,7 @@ def offsets_decode(payload, scenario, camera):
     decoded["score"] = score
     decoded["valid"] = 1
     decoded["intensity"] = records["intensity"]
-    decoded["depth"] = clamp(depth_image[py, px] / 1000.0, camera.depth_min, camera.depth_max)
+    decoded["depth"] = clamp(depth, camera.depth_min, camera.depth_max)
     return decoded
 
 
@@ -215,15 +234,61 @@ def camera_features(camera, n, seed):
 @pytest.mark.parametrize("camera", [CAMERA, CameraModel(width=321, height=241)],
                          ids=["640x480", "321x241"])
 @pytest.mark.parametrize("ber", [0.0, 1e-3, 0.3])
-@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_codec_equals_offset_scatter_and_gather(camera, ber, scenario):
-    for seed, n in enumerate([0, 60, FEATURE_SLOTS]):
+    for seed, n in enumerate([0, 60, MAX_FEATURES_PER_FRAME]):
         features = camera_features(camera, n, seed)
         payload = encode_payload(features, scenario, camera)
         assert payload == offsets_encode(features, scenario, camera)
         received = corrupt(payload, ber, np.random.default_rng([seed, scenario]))
         assert (decode_payload(received, scenario, camera).tobytes()
                 == offsets_decode(received, scenario, camera).tobytes())
+
+
+@pytest.mark.parametrize("camera", [CAMERA, CameraModel(width=321, height=241)],
+                         ids=["640x480", "321x241"])
+def test_scenario_1_receiver_reads_only_slots_and_depth_image(camera):
+    # The encoder zero-fills the image bytes between record slots; any other
+    # filler must decode to the same records.
+    _, stride, region_bytes, _ = oracle_layout(1, camera)
+    gaps = np.ones(region_bytes, dtype=bool)
+    gaps[slot_offsets(stride, RECORD_DTYPE.itemsize)] = False
+    rng = np.random.default_rng(31)
+    for seed, n in enumerate([60, MAX_FEATURES_PER_FRAME]):
+        features = camera_features(camera, n, seed)
+        for ber in (0.0, 1e-3):
+            received = corrupt(encode_payload(features, 1, camera), ber, rng)
+            wire = np.frombuffer(received, dtype=np.uint8).copy()
+            wire[:region_bytes][gaps] = rng.integers(0, 256, int(gaps.sum()), dtype=np.uint8)
+            assert wire.tobytes() != received
+            assert (decode_payload(wire.tobytes(), 1, camera).tobytes()
+                    == decode_payload(received, 1, camera).tobytes())
+
+
+class TestSmallImage:
+    # 160 x 120 = 19 200 image bytes give a slot stride of 12 bytes, shorter
+    # than one 48-byte record, so scenario 1 cannot carry the slots.
+    CAMERA = CameraModel(width=160, height=120, cx=79.5, cy=59.5)
+
+    def test_scenario_1_rejected(self):
+        features = camera_features(self.CAMERA, 10, seed=41)
+        with pytest.raises(ConfigurationError, match="too small"):
+            payload_num_bytes(1, self.CAMERA)
+        with pytest.raises(ConfigurationError, match="too small"):
+            encode_payload(features, 1, self.CAMERA)
+        with pytest.raises(ConfigurationError, match="too small"):
+            decode_payload(bytes(3 * 160 * 120), 1, self.CAMERA)
+
+    @pytest.mark.parametrize("scenario", [2, 3])
+    def test_other_scenarios_round_trip(self, scenario):
+        camera = self.CAMERA
+        features = camera_features(camera, 60, seed=42)
+        features["u"] = np.clip(features["u"], 0, camera.width - 1)
+        features["v"] = np.clip(features["v"], 0, camera.height - 1)
+        features["depth"] = np.rint(features["depth"] * 1000.0) / 1000.0
+        payload = encode_payload(features, scenario, camera)
+        assert len(payload) == payload_num_bytes(scenario, camera)
+        assert_same_records(decode_payload(payload, scenario, camera), features)
 
 
 class TestFraming:
@@ -240,7 +305,6 @@ class TestFraming:
             encode_payload(np.tile(feats, 200), 3, CAMERA)
 
     def test_unknown_scenario(self):
-        from xrmimo.exceptions import ConfigurationError
         with pytest.raises(ConfigurationError):
             encode_payload(sample_features(), 4, CAMERA)
 
@@ -294,7 +358,7 @@ class TestSanitisedDecoding:
             chunk = chunk[:n - offset]
             wire[offset:offset + len(chunk)] = chunk
         decoded = decode_payload(bytes(wire), scenario, CAMERA)
-        assert len(decoded) <= FEATURE_SLOTS
+        assert len(decoded) <= MAX_FEATURES_PER_FRAME
         assert_in_range(decoded)
 
     def test_padding_slots_stay_invalid_without_corruption(self):

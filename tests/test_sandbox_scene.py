@@ -109,6 +109,51 @@ class TestScene:
         assert positions.min(axis=0) == pytest.approx([0.0, 0.0, 0.0], abs=0.05)
         assert positions.max(axis=0) == pytest.approx([4.2, 2.5, 2.5], abs=0.05)
 
+    # sha256 of the positions, descriptors and intensities bytes of
+    # 400-landmark scenes, pinned when descriptors were still drawn and
+    # checked one candidate at a time.
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "5f6be875d9c1f6666e1e47cd22f6bbe8e5fc8860159bf6f2a8c7ef7b4230f5ad"),
+        (1, "002becf7d8c6876d511ea80fee1911e7923eb561036ebeeaec2a828ad479b3bd"),
+        (12345, "19662491d289d59277371836728bac29c811fee513294901549fd7805b3c2c8c"),
+    ])
+    def test_pinned_bytes(self, seed, digest):
+        scene = generate_scene(400, rng=seed)
+        sha = hashlib.sha256()
+        for array in (scene.positions, scene.descriptors, scene.intensities):
+            sha.update(array.tobytes())
+        assert sha.hexdigest() == digest
+
+    def test_close_pair_redraws_the_descriptor_block(self):
+        class RepeatRowOnce(np.random.Generator):
+            """Copies row 0 of the first 2-D integer block into row 1."""
+            blocks = 0
+
+            def integers(self, *args, **kwargs):
+                out = super().integers(*args, **kwargs)
+                if out.ndim == 2:
+                    if self.blocks == 0:
+                        out[1] = out[0]
+                    self.blocks += 1
+                return out
+
+        gen = RepeatRowOnce(np.random.PCG64(3))
+        scene = generate_scene(25, rng=gen)
+        assert gen.blocks == 2
+
+        reference = np.random.Generator(np.random.PCG64(3))
+        positions = reference.uniform(0.0, ROOM_SIZE_M, size=(25, 3))
+        first = reference.integers(0, 256, size=(25, 32), dtype=np.uint8)
+        second = reference.integers(0, 256, size=(25, 32), dtype=np.uint8)
+        assert not np.array_equal(first, second)
+        assert np.array_equal(scene.positions, positions)
+        assert np.array_equal(scene.descriptors, second)
+        assert np.array_equal(scene.intensities,
+                              reference.integers(0, 256, size=25, dtype=np.uint8))
+        dist = descriptor_distances(scene.descriptors, scene.descriptors)
+        np.fill_diagonal(dist, 10_000)
+        assert int(dist.min()) >= MIN_DESCRIPTOR_HAMMING
+
 
 def bytewise_distances(a, b) -> np.ndarray:
     """Reference: XOR every byte pair and count its bits."""
