@@ -34,19 +34,28 @@ def sample_flip_positions(n_bits: int, k: int, rng) -> np.ndarray:
 
 def flip_bits(payload: bytes, k: int, rng) -> bytes:
     """Invert exactly k distinct bits (LSB-first within each byte)."""
-    n_bits = 8 * len(payload)
-    positions = sample_flip_positions(n_bits, k, rng)
-    if positions.size == 0:
-        return bytes(payload)
     buf = np.frombuffer(payload, dtype=np.uint8).copy()
-    byte_index = positions >> 3
-    masks = (1 << (positions & 7)).astype(np.uint8)
-    np.bitwise_xor.at(buf, byte_index, masks)
+    _flip_in_place(buf, k, rng)
     return buf.tobytes()
 
 
 def corrupt(payload: bytes, ber: float, rng) -> bytes:
     """Binomial error count, then uniform distinct flips."""
+    buf = np.frombuffer(payload, dtype=np.uint8).copy()
+    corrupt_in_place(buf, ber, rng)
+    return buf.tobytes()
+
+
+def corrupt_in_place(buf: np.ndarray, ber: float, rng) -> None:
+    """``corrupt`` on a writable uint8 array, with the same draws."""
     gen = as_generator(rng)
-    k = sample_error_count(8 * len(payload), ber, gen)
-    return flip_bits(payload, k, gen)
+    k = sample_error_count(8 * buf.size, ber, gen)
+    _flip_in_place(buf, k, gen)
+
+
+def _flip_in_place(buf: np.ndarray, k: int, rng) -> None:
+    """Invert k distinct uniform bits of ``buf``, LSB-first within each byte."""
+    positions = sample_flip_positions(8 * buf.size, k, rng)
+    if positions.size:
+        masks = (1 << (positions & 7)).astype(np.uint8)
+        np.bitwise_xor.at(buf, positions >> 3, masks)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .exceptions import ConfigurationError
 from .frames import (
@@ -387,6 +386,9 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Load a YAML/JSON config file (optional) and apply overrides on top."""
     fragment: dict = {}
     if path is not None:
+        # PyYAML is imported here, as only a config file needs it.
+        import yaml
+
         text = Path(path).read_text(encoding="utf-8")
         loaded = yaml.safe_load(text)
         if loaded is None:

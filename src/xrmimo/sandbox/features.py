@@ -43,29 +43,41 @@ def observe(scene: Scene, camera: CameraModel, position, quaternion) -> np.ndarr
     resolved by landmark index).  Fewer than 4 rows means the frame is
     degenerate for pose solving; the caller decides how to flag it.
     """
-    r_wc = quat_to_matrix(quaternion)
-    pts_cam = (scene.positions - np.asarray(position, dtype=float)) @ r_wc
-    z = pts_cam[:, 2]
-    idx = np.flatnonzero((z >= camera.depth_min) & (z <= camera.depth_max))
-    pixels = camera.project(pts_cam[idx])
-    # Gate matches the wire sanitisation range [0, width-1] x [0, height-1]
-    # so legitimate pixels survive decoding unchanged.
-    in_image = (
-        (pixels[:, 0] >= 0.0) & (pixels[:, 0] <= camera.width - 1)
-        & (pixels[:, 1] >= 0.0) & (pixels[:, 1] <= camera.height - 1)
-    )
-    idx = idx[in_image]
-    pixels = pixels[in_image]
+    return observe_frames(scene, camera, [position], [quaternion])[0]
 
-    center_dist2 = (pixels[:, 0] - camera.cx) ** 2 + (pixels[:, 1] - camera.cy) ** 2
-    order = np.argsort(center_dist2, kind="stable")[:MAX_FEATURES_PER_FRAME]
-    landmarks = idx[order]
-    records = np.zeros(order.size, dtype=RECORD_WITH_DEPTH_DTYPE)
+
+def observe_frames(scene: Scene, camera: CameraModel, positions, quaternions) -> list:
+    """``observe`` for camera poses (n, 3) and (n, 4): one record array per frame.
+
+    One rotation conversion, one projection and one sort serve every
+    frame; the arrays are views of one record block.
+    """
+    r_wc = quat_to_matrix(quaternions)
+    offsets = scene.positions - np.asarray(positions, dtype=float)[:, None, :]
+    pts_cam = np.matmul(offsets, r_wc)
+    z = pts_cam[..., 2]
+    # Landmarks outside the depth range may sit at or near z = 0; their
+    # pixels may divide by zero or overflow, and are never kept.
+    with np.errstate(all="ignore"):
+        pixels = camera.project(pts_cam)
+        u, v = pixels[..., 0], pixels[..., 1]
+        # Gate matches the wire sanitisation range [0, width-1] x [0, height-1]
+        # so legitimate pixels survive decoding unchanged.
+        seen = ((z >= camera.depth_min) & (z <= camera.depth_max)
+                & (u >= 0.0) & (u <= camera.width - 1)
+                & (v >= 0.0) & (v <= camera.height - 1))
+        center_dist2 = np.where(seen, (u - camera.cx) ** 2 + (v - camera.cy) ** 2, np.inf)
+    # Unseen landmarks sort last; the stable sort resolves ties by landmark index.
+    order = np.argsort(center_dist2, axis=1, kind="stable")[:, :MAX_FEATURES_PER_FRAME]
+    counts = np.minimum(seen.sum(axis=1), MAX_FEATURES_PER_FRAME)
+    frame, rank = np.nonzero(np.arange(order.shape[1]) < counts[:, None])
+    landmarks = order[frame, rank]
+    records = np.zeros(frame.size, dtype=RECORD_WITH_DEPTH_DTYPE)
     records["descriptor"] = scene.descriptors[landmarks]
-    records["u"] = pixels[order, 0]
-    records["v"] = pixels[order, 1]
-    records["score"] = 1.0 / (1.0 + np.sqrt(center_dist2[order]) / 100.0)
+    records["u"] = u[frame, landmarks]
+    records["v"] = v[frame, landmarks]
+    records["score"] = 1.0 / (1.0 + np.sqrt(center_dist2[frame, landmarks]) / 100.0)
     records["valid"] = 1
     records["intensity"] = scene.intensities[landmarks]
-    records["depth"] = z[landmarks]
-    return records
+    records["depth"] = z[frame, landmarks]
+    return np.split(records, np.cumsum(counts)[:-1])

@@ -28,6 +28,9 @@ from .scene import Scene, descriptor_distances
 
 MAX_MATCH_DISTANCE = 64
 MIN_SECOND_BEST_MARGIN = 32
+# Rows per full search, so the (rows, landmarks) distance block stays
+# small when a whole trajectory's records are matched in one call.
+SEARCH_BLOCK_ROWS = 256
 
 # One accepted correspondence: the record row it came from, the landmark
 # it matched, and what the solver needs of both.
@@ -66,13 +69,14 @@ def match_features(features, scene: Scene) -> np.ndarray:
     reachable = ((counts >= landmark_counts.min() - MAX_MATCH_DISTANCE)
                  & (counts <= landmark_counts.max() + MAX_MATCH_DISTANCE))
     rest = np.flatnonzero(~accept & reachable)
-    if rest.size:
-        dist = descriptor_distances(descriptors[rest], scene.descriptors)
+    for start in range(0, rest.size, SEARCH_BLOCK_ROWS):
+        block = rest[start:start + SEARCH_BLOCK_ROWS]
+        dist = descriptor_distances(descriptors[block], scene.descriptors)
         nearest = np.argmin(dist, axis=1)
-        best = dist[np.arange(rest.size), nearest]
+        best = dist[np.arange(block.size), nearest]
         second = np.partition(dist, 1, axis=1)[:, 1]
-        best_idx[rest] = nearest
-        accept[rest] = (best <= MAX_MATCH_DISTANCE) & (second >= best + MIN_SECOND_BEST_MARGIN)
+        best_idx[block] = nearest
+        accept[block] = (best <= MAX_MATCH_DISTANCE) & (second >= best + MIN_SECOND_BEST_MARGIN)
     accepted = np.flatnonzero(accept)
 
     matches = np.zeros(accepted.size, dtype=MATCH_DTYPE)

@@ -88,8 +88,16 @@ def _clamp(values, lo: float, hi: float) -> np.ndarray:
 
 
 def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
-    """Serialize a frame's feature records into the scenario's exact wire format.
+    """Serialize a frame's feature records into the scenario's exact wire format."""
+    wire = np.empty(payload_num_bytes(scenario, camera), dtype=np.uint8)
+    encode_into(wire, features, scenario, camera)
+    return wire.tobytes()
 
+
+def encode_into(wire: np.ndarray, features, scenario: int, camera: CameraModel) -> None:
+    """``encode_payload`` into a caller's uint8 array of the payload's length.
+
+    The array is zero-filled first, so it may hold an earlier payload.
     The depth image carries each feature's depth in millimetres at its
     rounded pixel.  Features landing on the same pixel overwrite each other
     and the later feature wins; the robust pose solver treats the loser as
@@ -99,7 +107,10 @@ def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
     n = len(features)
     if n > MAX_FEATURES_PER_FRAME:
         raise FramingError(f"at most {MAX_FEATURES_PER_FRAME} features fit in a payload")
-    wire = np.zeros(region + depth_bytes, dtype=np.uint8)
+    if wire.shape != (region + depth_bytes,):
+        raise FramingError(f"scenario {scenario} payload must be {region + depth_bytes} bytes, "
+                           f"got an array of shape {wire.shape}")
+    wire.fill(0)
     slots = _slots(wire, dtype, stride)[:n]
     for name in dtype.names:
         slots[name] = features[name]
@@ -111,7 +122,6 @@ def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
         _, first_from_end = np.unique(flat[::-1], return_index=True)
         last = n - 1 - first_from_end
         _depth_tail(wire, region, camera)[flat[last]] = millimetres[last]
-    return wire.tobytes()
 
 
 def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.ndarray:

@@ -10,16 +10,21 @@ matching ``Rotation`` conversion of SciPy 1.17, which the tests check.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
 def quat_to_matrix(quaternion) -> np.ndarray:
-    """Rotation matrix (3, 3) of one quaternion, normalised first."""
-    x, y, z, w = (float(c) for c in quaternion)
-    norm = math.sqrt(x * x + y * y + z * z + w * w)
-    return np.array(_matrix_entries(x / norm, y / norm, z / norm, w / norm)).reshape(3, 3)
+    """Rotation matrices (..., 3, 3) of quaternions (..., 4), each normalised first.
+
+    A zero quaternion raises ``ZeroDivisionError``.
+    """
+    q = np.asarray(quaternion, dtype=float)
+    x, y, z, w = np.moveaxis(q, -1, 0)
+    norm = np.sqrt(x * x + y * y + z * z + w * w)
+    if np.any(norm == 0.0):
+        raise ZeroDivisionError("zero quaternion has no rotation")
+    entries = _matrix_entries(x / norm, y / norm, z / norm, w / norm)
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def matrix_to_quat(matrix) -> np.ndarray:

@@ -37,6 +37,21 @@ class TestQuatToMatrix:
         with pytest.raises(ZeroDivisionError):
             quat_to_matrix([0.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(500, 4), (2, 3, 4), (1, 4)])
+    def test_stacked_rows_equal_one_at_a_time(self, shape):
+        rng = np.random.default_rng(RNG_SEED)
+        quats = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[:-1] + (1,))
+        matrices = quat_to_matrix(quats)
+        assert matrices.shape == shape[:-1] + (3, 3)
+        for index in np.ndindex(shape[:-1]):
+            assert np.array_equal(matrices[index], Rotation.from_quat(quats[index]).as_matrix())
+
+    def test_stack_with_a_zero_row_raises(self):
+        quats = np.random.default_rng(RNG_SEED).normal(size=(5, 4))
+        quats[3] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            quat_to_matrix(quats)
+
 
 class TestMatrixToQuat:
     def test_random_rotations(self):

@@ -36,13 +36,23 @@ ACTIONS = {
 }
 
 
-@pytest.mark.parametrize("action", sorted(ACTIONS))
-def test_runtime_loads_only_numpy_and_yaml(action):
+def loaded_packages(action: str) -> set:
     src = str(Path(xrmimo.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", PROBE.format(action=ACTIONS[action])],
+    run = subprocess.run([sys.executable, "-c", PROBE.format(action=action)],
                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    loaded = set(run.stderr.split())
+    return set(run.stderr.split())
+
+
+@pytest.mark.parametrize("action", sorted(ACTIONS))
+def test_runtime_loads_only_numpy_and_yaml(action):
+    loaded = loaded_packages(ACTIONS[action])
     assert "xrmimo" in loaded
     assert loaded <= RUNTIME_PACKAGES, sorted(loaded - RUNTIME_PACKAGES)
+
+
+def test_import_leaves_yaml_unloaded():
+    # Only ``load_config`` with a file reads YAML, so it imports PyYAML itself.
+    loaded = loaded_packages(ACTIONS["import xrmimo"] + "\nassert 'yaml' not in sys.modules")
+    assert "xrmimo" in loaded and "yaml" not in loaded
