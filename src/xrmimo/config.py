@@ -56,12 +56,14 @@ def _check_unknown(mapping: dict, allowed, path: str) -> None:
 # Leaf checkers: each factory returns ``check(value, path)``, which raises
 # ``ConfigurationError`` naming ``path`` or returns the normalised value.
 
-def _int(minimum=None, choices=None):
+def _int(minimum=None, maximum=None, choices=None):
     def check(value, path):
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(path, f"expected an integer, got {value!r}")
         if minimum is not None and value < minimum:
             _fail(path, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            _fail(path, f"must be <= {maximum}, got {value}")
         if choices is not None and value not in choices:
             _fail(path, f"must be one of {', '.join(map(str, choices))}, got {value}")
         return int(value)
@@ -224,7 +226,9 @@ SCHEMA = {
         "n_trajectories": (_int(minimum=1), 10),
         "n_frames": (_int(minimum=3), 100),  # ATE needs 3 poses
         "trials": (_int(minimum=1), 1),
-        "n_landmarks": (_int(minimum=4), 400),
+        # The scene check builds an (n, n) distance matrix (64 MB at 4096),
+        # and at 4096 landmarks 99.6% of descriptor draws are separated.
+        "n_landmarks": (_int(minimum=4, maximum=4096), 400),
         "bootstrap_draws": (_int(minimum=1), 10000),
         "ci_level": (_float(above=0.0, below=1.0), 0.95),
     },

@@ -35,6 +35,18 @@ RECORD_DTYPE = np.dtype(_RECORD_FIELDS)
 RECORD_WITH_DEPTH_DTYPE = np.dtype(_RECORD_FIELDS + [("depth", "<f8")])
 
 
+def concatenate_records(arrays) -> np.ndarray:
+    """``np.concatenate`` of one or more structured arrays of one dtype, byte for byte.
+
+    numpy promotes the fields of each structured input in turn, which costs
+    more than the copy itself for the short per-frame arrays; a field-less
+    void view of the same size is copied without it.
+    """
+    dtype = arrays[0].dtype
+    raw = np.dtype((np.void, dtype.itemsize))
+    return np.concatenate([array.view(raw) for array in arrays]).view(dtype)
+
+
 def observe(scene: Scene, camera: CameraModel, position, quaternion) -> np.ndarray:
     """Records (``valid = 1``) for the landmarks visible from a camera pose.
 
@@ -43,14 +55,13 @@ def observe(scene: Scene, camera: CameraModel, position, quaternion) -> np.ndarr
     resolved by landmark index).  Fewer than 4 rows means the frame is
     degenerate for pose solving; the caller decides how to flag it.
     """
-    return observe_frames(scene, camera, [position], [quaternion])[0]
+    return observe_block(scene, camera, [position], [quaternion])[0]
 
 
-def observe_frames(scene: Scene, camera: CameraModel, positions, quaternions) -> list:
-    """``observe`` for camera poses (n, 3) and (n, 4): one record array per frame.
+def observe_block(scene: Scene, camera: CameraModel, positions, quaternions):
+    """``observe`` for camera poses (n, 3) and (n, 4): the records back to back, and each count.
 
-    One rotation conversion, one projection and one sort serve every
-    frame; the arrays are views of one record block.
+    One rotation conversion, one projection and one sort serve every frame.
     """
     r_wc = quat_to_matrix(quaternions)
     offsets = scene.positions - np.asarray(positions, dtype=float)[:, None, :]
@@ -80,4 +91,4 @@ def observe_frames(scene: Scene, camera: CameraModel, positions, quaternions) ->
     records["valid"] = 1
     records["intensity"] = scene.intensities[landmarks]
     records["depth"] = z[frame, landmarks]
-    return np.split(records, np.cumsum(counts)[:-1])
+    return records, counts

@@ -25,6 +25,10 @@ the image value at its rounded pixel.
 
 ``_layout`` is the only place that knows the scenarios: the encoder and
 the decoder address the slots as one strided view of the wire bytes.
+Both come in a stacked form that does the per-record arithmetic once for
+many frames and leaves only byte moves per frame: ``FrameEncoder`` and
+``read_slots`` then ``decode_records``.  ``encode_payload`` and
+``decode_payload`` are their one-frame calls.
 """
 
 from __future__ import annotations
@@ -97,35 +101,79 @@ def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
 def encode_into(wire: np.ndarray, features, scenario: int, camera: CameraModel) -> None:
     """``encode_payload`` into a caller's uint8 array of the payload's length.
 
-    The array is zero-filled first, so it may hold an earlier payload.
-    The depth image carries each feature's depth in millimetres at its
-    rounded pixel.  Features landing on the same pixel overwrite each other
-    and the later feature wins; the robust pose solver treats the loser as
-    an outlier.
+    The one-frame call of ``FrameEncoder``; the array is zero-filled first,
+    so it may hold an earlier payload.
     """
-    dtype, stride, region, depth_bytes = _layout(scenario, camera)
-    n = len(features)
-    if n > MAX_FEATURES_PER_FRAME:
-        raise FramingError(f"at most {MAX_FEATURES_PER_FRAME} features fit in a payload")
-    if wire.shape != (region + depth_bytes,):
-        raise FramingError(f"scenario {scenario} payload must be {region + depth_bytes} bytes, "
-                           f"got an array of shape {wire.shape}")
-    wire.fill(0)
-    slots = _slots(wire, dtype, stride)[:n]
-    for name in dtype.names:
-        slots[name] = features[name]
-    if depth_bytes:
-        flat = _pixel_index(features["u"], features["v"], camera)
-        millimetres = np.clip(np.rint(features["depth"] * 1000.0), 0, 65535).astype(np.uint16)
-        # numpy leaves the winner of repeated fancy-index writes unspecified,
-        # so write only the last feature on each pixel.
-        _, first_from_end = np.unique(flat[::-1], return_index=True)
-        last = n - 1 - first_from_end
-        _depth_tail(wire, region, camera)[flat[last]] = millimetres[last]
+    FrameEncoder(features, [len(features)], scenario, camera).write(wire, 0)
+
+
+class FrameEncoder:
+    """The wire images of a stack of frames, written one at a time into a reused array.
+
+    ``features`` holds the frames' records back to back, ``counts`` the
+    number of each frame's.  The records are converted to the wire record
+    once for the stack, and each depth image's pixels and millimetres are
+    found once, so ``write`` only moves bytes.  The depth image carries each
+    feature's depth in millimetres at its rounded pixel.  Features of one
+    frame landing on the same pixel overwrite each other and the later
+    feature wins; the robust pose solver treats the loser as an outlier.
+    """
+
+    def __init__(self, features, counts, scenario: int, camera: CameraModel):
+        dtype, self._stride, self._region, depth_bytes = _layout(scenario, camera)
+        self._scenario = scenario
+        counts = np.asarray(counts, dtype=np.intp)
+        if counts.size and counts.max() > MAX_FEATURES_PER_FRAME:
+            raise FramingError(f"at most {MAX_FEATURES_PER_FRAME} features fit in a payload")
+        self._camera = camera
+        self.n_bytes = self._region + depth_bytes
+        self._starts = np.concatenate([[0], np.cumsum(counts)])
+        self._records = np.zeros(len(features), dtype=dtype)
+        for name in dtype.names:
+            self._records[name] = features[name]
+        self._depth = None
+        if depth_bytes:
+            pixels = camera.width * camera.height
+            frame = np.repeat(np.arange(counts.size), counts)
+            key = frame * pixels + _pixel_index(features["u"], features["v"], camera)
+            millimetres = np.clip(np.rint(features["depth"] * 1000.0), 0, 65535).astype(np.uint16)
+            # numpy leaves the winner of repeated fancy-index writes unspecified,
+            # so keep only the last feature on each (frame, pixel).
+            _, first_from_end = np.unique(key[::-1], return_index=True)
+            last = len(key) - 1 - first_from_end
+            # ``last`` is sorted by key, so by frame first.
+            self._depth_starts = np.searchsorted(key[last], np.arange(counts.size + 1) * pixels)
+            self._depth = (key[last] % pixels, millimetres[last])
+
+    def write(self, wire: np.ndarray, frame: int) -> None:
+        """Frame ``frame``'s payload into a uint8 array of ``n_bytes``."""
+        if wire.shape != (self.n_bytes,):
+            raise FramingError(f"scenario {self._scenario} payload must be {self.n_bytes} "
+                               f"bytes, got an array of shape {wire.shape}")
+        wire.fill(0)
+        records = self._records[self._starts[frame]:self._starts[frame + 1]]
+        _slots(wire, records.dtype, self._stride)[:len(records)] = records
+        if self._depth is not None:
+            lo, hi = self._depth_starts[frame], self._depth_starts[frame + 1]
+            flat, millimetres = self._depth
+            _depth_tail(wire, self._region, self._camera)[flat[lo:hi]] = millimetres[lo:hi]
 
 
 def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.ndarray:
-    """Clamped valid records (``RECORD_WITH_DEPTH_DTYPE``) of a possibly corrupted payload."""
+    """Clamped valid records (``RECORD_WITH_DEPTH_DTYPE``) of a possibly corrupted payload.
+
+    The one-frame call of ``read_slots`` and ``decode_records``.
+    """
+    return decode_records(*read_slots(payload, scenario, camera), camera)
+
+
+def read_slots(payload, scenario: int, camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """The valid slots of a payload, copied, and each one's depth in metres, unclamped.
+
+    Where a depth image is sent, a record's depth is the image value at its
+    rounded, clamped pixel.  The results of several payloads may be
+    concatenated before ``decode_records``.
+    """
     dtype, stride, region, depth_bytes = _layout(scenario, camera)
     if len(payload) != region + depth_bytes:
         raise FramingError(
@@ -133,17 +181,22 @@ def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.nda
         )
     records = _slots(payload, dtype, stride)
     records = records[records["valid"] != 0]
+    if not depth_bytes:
+        return records, records["depth"]
     # Corrupted float32 bytes may hold signaling NaNs; widening them trips
     # the FPU invalid flag even though the clamp handles them.
     with np.errstate(invalid="ignore"):
         u = _clamp(records["u"], 0.0, float(camera.width - 1))
         v = _clamp(records["v"], 0.0, float(camera.height - 1))
-        score = _clamp(records["score"], 0.0, 1.0)
-    if depth_bytes:
-        depth = _depth_tail(payload, region, camera)[_pixel_index(u, v, camera)] / 1000.0
-    else:
-        depth = records["depth"]
+    return records, _depth_tail(payload, region, camera)[_pixel_index(u, v, camera)] / 1000.0
 
+
+def decode_records(records, depth, camera: CameraModel) -> np.ndarray:
+    """Clamped ``RECORD_WITH_DEPTH_DTYPE`` records from ``read_slots`` output."""
+    with np.errstate(invalid="ignore"):
+        u = _clamp(records["u"], 0.0, float(camera.width - 1))
+        v = _clamp(records["v"], 0.0, float(camera.height - 1))
+        score = _clamp(records["score"], 0.0, 1.0)
     decoded = np.zeros(len(records), dtype=RECORD_WITH_DEPTH_DTYPE)
     decoded["descriptor"] = records["descriptor"]
     # Each clamped value is the float32 input, a float32-exact bound or a

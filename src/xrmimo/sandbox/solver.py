@@ -12,7 +12,11 @@ still in it.  A frame's result does not depend on the other frames in its
 stack, bit for bit: masked rows enter every sum as zeros after or between
 the real rows, no sum runs along the correspondence axis as its innermost
 one, and a frame leaves a stage by mask, so ``solve_pose`` on one frame
-gives the same bits as that frame's row of ``solve_poses``.
+gives the same bits as that frame's row of ``solve_poses``.  That is what
+lets ``solve_poses`` sort the frames by correspondence count before
+cutting them into stacks, which pads fewer rows, and lets each
+Gauss-Newton step rotate the points once for its depth test, residuals
+and Jacobian.
 
 State is the world-to-camera transform (R, t) with ``X_cam = R X_world + t``.
 Increments perturb the rotation on the left and the translation additively,
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..metrics import umeyama_align_stacked
+from ..metrics import stacked_outer_sum, umeyama_align_stacked
 from .camera import CameraModel
-from .features import MIN_FEATURES_FOR_POSE
+from .features import MIN_FEATURES_FOR_POSE, concatenate_records
 from .matching import MATCH_DTYPE
 from .rotations import matrix_to_quat, rotvec_to_matrix
 
@@ -74,7 +78,7 @@ def reprojection_residuals(rotation_cw, translation_cw, world_points, pixels,
     (..., n, 3) and ``pixels`` (..., n, 2) share their leading frame axes.
     """
     pts_cam = _camera_points(rotation_cw, translation_cw, world_points)
-    return camera.project(pts_cam) - np.asarray(pixels, dtype=float)
+    return _residuals(pts_cam, pixels, camera)
 
 
 def reprojection_jacobian(rotation_cw, translation_cw, world_points,
@@ -86,6 +90,16 @@ def reprojection_jacobian(rotation_cw, translation_cw, world_points,
     """
     rotated = _rotate(rotation_cw, world_points)
     pts_cam = rotated + np.asarray(translation_cw, dtype=float)[..., None, :]
+    return _jacobian(rotated, pts_cam, camera)
+
+
+def _residuals(pts_cam, pixels, camera: CameraModel) -> np.ndarray:
+    """``reprojection_residuals`` from the camera-frame points ``R X + t``."""
+    return camera.project(pts_cam) - np.asarray(pixels, dtype=float)
+
+
+def _jacobian(rotated, pts_cam, camera: CameraModel) -> np.ndarray:
+    """``reprojection_jacobian`` from ``R X`` and ``R X + t``."""
     x, y, z = pts_cam[..., 0], pts_cam[..., 1], pts_cam[..., 2]
     a, b, c = rotated[..., 0], rotated[..., 1], rotated[..., 2]
     inv_z = 1.0 / z
@@ -93,11 +107,18 @@ def reprojection_jacobian(rotation_cw, translation_cw, world_points,
     du_dz = -camera.fx * x * inv_z**2
     dv_dy = camera.fy * inv_z
     dv_dz = -camera.fy * y * inv_z**2
-    zero = np.zeros_like(z)
-    return np.stack([
-        np.stack([du_dz * b, du_dx * c - du_dz * a, -du_dx * b, du_dx, zero, du_dz], axis=-1),
-        np.stack([dv_dz * b - dv_dy * c, -dv_dz * a, dv_dy * a, zero, dv_dy, dv_dz], axis=-1),
-    ], axis=-2)
+    jac = np.zeros(z.shape + (2, 6))
+    jac[..., 0, 0] = du_dz * b
+    jac[..., 0, 1] = du_dx * c - du_dz * a
+    jac[..., 0, 2] = -du_dx * b
+    jac[..., 0, 3] = du_dx
+    jac[..., 0, 5] = du_dz
+    jac[..., 1, 0] = dv_dz * b - dv_dy * c
+    jac[..., 1, 1] = -dv_dz * a
+    jac[..., 1, 2] = dv_dy * a
+    jac[..., 1, 4] = dv_dy
+    jac[..., 1, 5] = dv_dz
+    return jac
 
 
 def solve_pose(correspondences, camera: CameraModel) -> PoseSolveResult:
@@ -117,17 +138,22 @@ def solve_poses(correspondences, camera: CameraModel):
 
     Returns (solved, positions, quaternions, n_inliers) with one row per
     frame.  An unsolved frame has a NaN position, the identity quaternion
-    and 0 inliers.  Frames are solved in stacks of ``SOLVE_CHUNK_FRAMES``.
+    and 0 inliers.  Frames are sorted by correspondence count and solved
+    in stacks of ``SOLVE_CHUNK_FRAMES``; the result does not depend on
+    their order.
     """
     n = len(correspondences)
     solved = np.zeros(n, dtype=bool)
     positions = np.full((n, 3), np.nan)
     quaternions = np.tile(np.array([0.0, 0.0, 0.0, 1.0]), (n, 1))
     n_inliers = np.zeros(n, dtype=int)
-    frames = [i for i, matches in enumerate(correspondences)
-              if len(matches) >= MIN_FEATURES_FOR_POSE]
-    for start in range(0, len(frames), SOLVE_CHUNK_FRAMES):
-        chunk = np.array(frames[start:start + SOLVE_CHUNK_FRAMES])
+    sizes = np.array([len(matches) for matches in correspondences], dtype=int)
+    # Stacks of similar sizes pad fewer rows; the stable sort keeps frame
+    # order among equal sizes.
+    frames = np.flatnonzero(sizes >= MIN_FEATURES_FOR_POSE)
+    frames = frames[np.argsort(sizes[frames], kind="stable")]
+    for start in range(0, frames.size, SOLVE_CHUNK_FRAMES):
+        chunk = frames[start:start + SOLVE_CHUNK_FRAMES]
         ok, rotation, translation, kept = _solve_stack([correspondences[i] for i in chunk],
                                                        camera)
         rotation_wc = np.swapaxes(rotation[ok], 1, 2)
@@ -149,7 +175,7 @@ def _solve_stack(correspondences, camera: CameraModel):
     sizes = np.array([len(matches) for matches in correspondences])
     valid = np.arange(sizes.max()) < sizes[:, None]
     packed = np.zeros(valid.shape, dtype=MATCH_DTYPE)
-    packed[valid] = np.concatenate(correspondences)
+    packed[valid] = concatenate_records(correspondences)
     pixels, world = packed["pixel"], packed["world"]
     cam_pts = camera.back_project(pixels, packed["depth"])
 
@@ -204,25 +230,30 @@ def _refine(rotation, translation, world, pixels, keep, solved, camera) -> None:
     for _ in range(MAX_REFINE_ITERATIONS):
         if rows.size == 0:
             return
-        in_front = _camera_points(rotation[rows], translation[rows], world[rows])[..., 2] > 1e-9
-        use = keep[rows] & in_front
+        # One ``R X`` per step serves the depth test, the residuals and the Jacobian.
+        rotated = _rotate(rotation[rows], world[rows])
+        pts_cam = rotated + translation[rows][:, None, :]
+        use = keep[rows] & (pts_cam[..., 2] > 1e-9)
         behind = np.count_nonzero(use, axis=1) < MIN_FEATURES_FOR_POSE
-        solved[rows[behind]] = False
-        rows, use = rows[~behind], use[~behind]
-        if rows.size == 0:
-            return
-        rot, trans, pts = rotation[rows], translation[rows], world[rows]
+        if behind.any():
+            solved[rows[behind]] = False
+            ahead = ~behind
+            rows, use, rotated, pts_cam = rows[ahead], use[ahead], rotated[ahead], pts_cam[ahead]
+            if rows.size == 0:
+                return
+        rot, trans = rotation[rows], translation[rows]
         # Points that are not used may sit on the camera plane; their
         # entries are replaced before any sum.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            res = np.where(use[..., None],
-                           reprojection_residuals(rot, trans, pts, pixels[rows], camera), 0.0)
-            jac = np.where(use[..., None, None],
-                           reprojection_jacobian(rot, trans, pts, camera), 0.0)
+            res = _residuals(pts_cam, pixels[rows], camera)
+            jac = _jacobian(rotated, pts_cam, camera)
+            res[~use] = 0.0
+            jac[~use] = 0.0
             err = np.linalg.norm(res, axis=-1)
             weights = np.where(err > HUBER_DELTA_PX, HUBER_DELTA_PX / err, 1.0)
         weighted = jac * weights[..., None, None]
-        hessian = np.einsum("bnri,bnrj->bij", weighted, jac)
+        hessian = stacked_outer_sum(weighted.reshape(rows.size, -1, 6),
+                                    jac.reshape(rows.size, -1, 6))
         gradient = np.einsum("bnri,bnrj->bij", weighted, res[..., None])[..., 0]
         step, singular = _solve_normal_equations(hessian, -gradient)
         move = ~singular

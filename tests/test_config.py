@@ -244,6 +244,14 @@ class TestValidation:
             build_config({"sensitivity": {"n_frames": 2}})
         assert build_config({"sensitivity": {"n_frames": 3}}).sensitivity["n_frames"] == 3
 
+    def test_sensitivity_landmarks_bounded(self):
+        # The scene's (n, n) descriptor check would need 40 GB at 100 000.
+        message = r"^sensitivity\.n_landmarks: must be <= 4096, got 100000"
+        with pytest.raises(ConfigurationError, match=message):
+            build_config({"sensitivity": {"n_landmarks": 100_000}})
+        config = build_config({"sensitivity": {"n_landmarks": 4096}})
+        assert config.sensitivity["n_landmarks"] == 4096
+
     def test_bad_type_messages(self):
         with pytest.raises(ConfigurationError, match="seed"):
             build_config({"seed": "abc"})

@@ -32,7 +32,7 @@ from xrmimo.sandbox import (
     observe,
     payload_num_bytes,
 )
-from xrmimo.sandbox.features import observe_frames
+from xrmimo.sandbox.features import observe_block
 from xrmimo.sandbox.matching import SEARCH_BLOCK_ROWS
 from xrmimo.sandbox.payload import encode_into
 
@@ -66,6 +66,13 @@ def reference_observe(scene, camera, position, quaternion):
     records["intensity"] = scene.intensities[landmarks]
     records["depth"] = z[landmarks]
     return records
+
+
+def observe_frames(scene, camera, positions, quaternions):
+    """``observe_block`` split into one record array per frame."""
+    records, counts = observe_block(scene, camera, positions, quaternions)
+    assert counts.shape == (len(positions),)
+    return np.split(records, np.cumsum(counts)[:-1])
 
 
 def assert_frames_equal_one_at_a_time(scene, camera, positions, quaternions):
@@ -199,10 +206,10 @@ def test_trajectory_match_equals_per_frame_matches(monkeypatch):
     distances = matching_module.descriptor_distances
     monkeypatch.setattr(matching_module, "descriptor_distances",
                         lambda a, b: searched.append(len(a)) or distances(a, b))
-    frames = pipeline_module._match_frames(decoded, scene)
+    frames = pipeline_module._match_frames(records, [len(d) for d in decoded], scene)
     assert sum(searched) >= 2 * SEARCH_BLOCK_ROWS + 1
     assert max(searched) <= SEARCH_BLOCK_ROWS
     assert len(frames) == len(per_frame)
     for j, (got, expected) in enumerate(zip(frames, per_frame)):
         assert got.tobytes() == expected.tobytes(), j
-    assert pipeline_module._match_frames([], scene) == []
+    assert pipeline_module._match_frames(records[:0], [], scene) == []

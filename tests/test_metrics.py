@@ -10,6 +10,7 @@ from xrmimo.metrics import (
     ate_translation,
     bootstrap_stats,
     normalize_vs_baseline,
+    stacked_outer_sum,
     trajectory_error_percentages,
     umeyama_align,
 )
@@ -224,3 +225,29 @@ class TestBootstrap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_stats([], rng=0)
+
+
+class TestStackedOuterSum:
+    @pytest.mark.parametrize("stacks", [1, 3, 64])
+    @pytest.mark.parametrize("terms", [1, 5, 220, 801])
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_adds_the_terms_in_order_from_zero(self, stacks, terms, width):
+        # The pose solver's bits rest on this order.  Mixed magnitudes, zeros
+        # and negative zeros make a reordered sum differ in the last bits.
+        rng = np.random.default_rng([stacks, terms, width])
+        scales = 10.0 ** rng.integers(-8, 8, terms)[:, None]
+        left = rng.standard_normal((stacks, terms, width)) * scales
+        right = rng.standard_normal((stacks, terms, width))
+        left[rng.random(left.shape) < 0.2] = 0.0
+        right[rng.random(right.shape) < 0.2] = -0.0
+        in_order = np.zeros((stacks, width, width))
+        for k in range(terms):
+            in_order = in_order + left[:, k, :, None] * right[:, k, None, :]
+        got = stacked_outer_sum(left, right)
+        assert got.tobytes() == in_order.tobytes()
+        assert got.tobytes() == np.einsum("bki,bkj->bij", left, right).tobytes()
+        if terms > 200:
+            backwards = np.zeros_like(in_order)
+            for k in reversed(range(terms)):
+                backwards = backwards + left[:, k, :, None] * right[:, k, None, :]
+            assert backwards.tobytes() != in_order.tobytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from test_biterrors import hamming_distance
 import xrmimo.sandbox.payload as payload_module
-from xrmimo.biterrors import corrupt
+from xrmimo.biterrors import corrupt, corrupt_in_place
 from xrmimo.exceptions import ConfigurationError, FramingError
 from xrmimo.scenarios import SCENARIO_IDS, SCENARIO_UL_BYTES
 from xrmimo.sandbox import (
@@ -24,6 +24,8 @@ from xrmimo.sandbox import (
     observe,
     payload_num_bytes,
 )
+from xrmimo.sandbox.features import concatenate_records
+from xrmimo.sandbox.payload import FrameEncoder, decode_records, read_slots
 
 CAMERA = CameraModel()
 
@@ -243,6 +245,42 @@ def test_codec_equals_offset_scatter_and_gather(camera, ber, scenario):
         received = corrupt(payload, ber, np.random.default_rng([seed, scenario]))
         assert (decode_payload(received, scenario, camera).tobytes()
                 == offsets_decode(received, scenario, camera).tobytes())
+
+
+def block_frames():
+    """Frames for the block codec: a pixel shared within and across frames, 3 and 1536 rows."""
+    frames = [camera_features(CAMERA, n, seed) for seed, n in enumerate([40, 40, 3, 1536, 0])]
+    # Frame 0 puts rows 0 and 1 on pixel (100, 50), frame 1 its row 5.
+    for frame, row in ((0, 0), (0, 1), (1, 5)):
+        frames[frame]["u"][row], frames[frame]["v"][row] = 100.2, 49.9
+    return frames
+
+
+@pytest.mark.parametrize("ber", [0.0, 1e-5, 1e-2, 0.3])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_block_codec_equals_one_frame_codec(scenario, ber):
+    frames = block_frames()
+    encoder = FrameEncoder(np.concatenate(frames), [len(f) for f in frames], scenario, CAMERA)
+    wire = np.full(encoder.n_bytes, 0xA5, dtype=np.uint8)
+    slots, depths, expected = [], [], []
+    for j, features in enumerate(frames):
+        payload = encode_payload(features, scenario, CAMERA)
+        encoder.write(wire, j)
+        assert wire.tobytes() == payload, j
+        corrupt_in_place(wire, ber, np.random.default_rng([j, scenario]))
+        received = corrupt(payload, ber, np.random.default_rng([j, scenario]))
+        assert wire.tobytes() == received, j
+        records, depth = read_slots(wire, scenario, CAMERA)
+        slots.append(records)
+        depths.append(depth)
+        expected.append(decode_payload(received, scenario, CAMERA))
+    if scenario != 3 and ber == 0.0:
+        # The later row wins a pixel within a frame, and not across frames.
+        millimetres = np.rint([frames[0]["depth"][1] * 1000.0, frames[1]["depth"][5] * 1000.0])
+        assert expected[0]["depth"][0] == expected[0]["depth"][1] == millimetres[0] / 1000.0
+        assert expected[1]["depth"][5] == millimetres[1] / 1000.0
+    decoded = decode_records(concatenate_records(slots), np.concatenate(depths), CAMERA)
+    assert decoded.tobytes() == np.concatenate(expected).tobytes()
 
 
 @pytest.mark.parametrize("camera", [CAMERA, CameraModel(width=321, height=241)],

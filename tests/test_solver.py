@@ -1,5 +1,7 @@
 """Matching, pose solving, and end-to-end pipeline tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,7 @@ from xrmimo.sandbox import (
     solve_pose,
     solve_poses,
 )
+from xrmimo.sandbox.pipeline import BLOCK_FRAMES
 from xrmimo.sandbox.solver import SOLVE_CHUNK_FRAMES
 from xrmimo.seeding import seed_sequence
 
@@ -233,6 +236,19 @@ class TestStackedSolve:
             assert alone.quaternion.tobytes() == quaternions[i].tobytes(), (i, name)
             assert np.int64(alone.n_inliers).tobytes() == n_inliers[i].tobytes(), (i, name)
 
+    def test_frame_order_does_not_change_any_row(self):
+        # ``solve_poses`` sorts frames by size before stacking them, so a
+        # permuted batch must give the permuted rows, ties included.
+        frames, _ = mixed_batch()
+        frames += [frames[0].copy(), frames[1].copy()]
+        reference = solve_poses(frames, CAMERA)
+        order = np.random.default_rng(24).permutation(len(frames))
+        for perm in (order, order[::-1]):
+            got = solve_poses([frames[i] for i in perm], CAMERA)
+            for name, expected, row in zip(("solved", "positions", "quaternions", "inliers"),
+                                           reference, got):
+                assert expected[perm].tobytes() == row.tobytes(), name
+
     def test_empty_batch(self):
         solved, positions, quaternions, n_inliers = solve_poses([], CAMERA)
         assert solved.shape == (0,) and positions.shape == (0, 3)
@@ -328,6 +344,29 @@ class TestPipeline:
         scene, traj = invisible_scene(), generate_trajectory(10, rng=15)
         estimate = run_pipeline(scene, CAMERA, traj, 3, 0.0, rng=16)
         assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, 3, 0.0, 16))
+
+    def test_block_boundary_equals_per_frame_replay(self, world):
+        scene, _ = world
+        traj = generate_trajectory(300, rng=33)
+        assert BLOCK_FRAMES < traj.n_frames < 2 * BLOCK_FRAMES
+        estimate = run_pipeline(scene, CAMERA, traj, 2, 1e-3, rng=34)
+        assert estimate.n_unsolved < traj.n_frames
+        assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, 2, 1e-3, 34))
+
+    def test_memory_does_not_grow_with_trajectory_length(self, world):
+        # Blocks bound the stacked observation and the record arrays; what
+        # is kept per frame is a few pose numbers.
+        scene, _ = world
+        peaks = []
+        for n_frames in (250, 2000):
+            traj = generate_trajectory(n_frames, rng=35)
+            tracemalloc.start()
+            try:
+                run_pipeline(scene, CAMERA, traj, 2, 0.0, rng=36)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_noise_free_matches_ground_truth(self, world):
         scene, traj = world
