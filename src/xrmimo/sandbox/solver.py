@@ -107,18 +107,11 @@ def _jacobian(rotated, pts_cam, camera: CameraModel) -> np.ndarray:
     du_dz = -camera.fx * x * inv_z**2
     dv_dy = camera.fy * inv_z
     dv_dz = -camera.fy * y * inv_z**2
-    jac = np.zeros(z.shape + (2, 6))
-    jac[..., 0, 0] = du_dz * b
-    jac[..., 0, 1] = du_dx * c - du_dz * a
-    jac[..., 0, 2] = -du_dx * b
-    jac[..., 0, 3] = du_dx
-    jac[..., 0, 5] = du_dz
-    jac[..., 1, 0] = dv_dz * b - dv_dy * c
-    jac[..., 1, 1] = -dv_dz * a
-    jac[..., 1, 2] = dv_dy * a
-    jac[..., 1, 4] = dv_dy
-    jac[..., 1, 5] = dv_dz
-    return jac
+    zero = np.zeros_like(z)
+    return np.stack([
+        np.stack([du_dz * b, du_dx * c - du_dz * a, -du_dx * b, du_dx, zero, du_dz], axis=-1),
+        np.stack([dv_dz * b - dv_dy * c, -dv_dz * a, dv_dy * a, zero, dv_dy, dv_dz], axis=-1),
+    ], axis=-2)
 
 
 def solve_pose(correspondences, camera: CameraModel) -> PoseSolveResult:
@@ -245,10 +238,8 @@ def _refine(rotation, translation, world, pixels, keep, solved, camera) -> None:
         # Points that are not used may sit on the camera plane; their
         # entries are replaced before any sum.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            res = _residuals(pts_cam, pixels[rows], camera)
-            jac = _jacobian(rotated, pts_cam, camera)
-            res[~use] = 0.0
-            jac[~use] = 0.0
+            res = np.where(use[..., None], _residuals(pts_cam, pixels[rows], camera), 0.0)
+            jac = np.where(use[..., None, None], _jacobian(rotated, pts_cam, camera), 0.0)
             err = np.linalg.norm(res, axis=-1)
             weights = np.where(err > HUBER_DELTA_PX, HUBER_DELTA_PX / err, 1.0)
         weighted = jac * weights[..., None, None]
