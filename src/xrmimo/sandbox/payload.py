@@ -123,7 +123,7 @@ class FrameEncoder:
         dtype, self._stride, self._region, depth_bytes = _layout(scenario, camera)
         self._scenario = scenario
         counts = np.asarray(counts, dtype=np.intp)
-        if counts.size and counts.max() > MAX_FEATURES_PER_FRAME:
+        if (counts > MAX_FEATURES_PER_FRAME).any():
             raise FramingError(f"at most {MAX_FEATURES_PER_FRAME} features fit in a payload")
         self._camera = camera
         self.n_bytes = self._region + depth_bytes

@@ -78,7 +78,7 @@ def reprojection_residuals(rotation_cw, translation_cw, world_points, pixels,
     (..., n, 3) and ``pixels`` (..., n, 2) share their leading frame axes.
     """
     pts_cam = _camera_points(rotation_cw, translation_cw, world_points)
-    return _residuals(pts_cam, pixels, camera)
+    return camera.project(pts_cam) - np.asarray(pixels, dtype=float)
 
 
 def reprojection_jacobian(rotation_cw, translation_cw, world_points,
@@ -91,11 +91,6 @@ def reprojection_jacobian(rotation_cw, translation_cw, world_points,
     rotated = _rotate(rotation_cw, world_points)
     pts_cam = rotated + np.asarray(translation_cw, dtype=float)[..., None, :]
     return _jacobian(rotated, pts_cam, camera)
-
-
-def _residuals(pts_cam, pixels, camera: CameraModel) -> np.ndarray:
-    """``reprojection_residuals`` from the camera-frame points ``R X + t``."""
-    return camera.project(pts_cam) - np.asarray(pixels, dtype=float)
 
 
 def _jacobian(rotated, pts_cam, camera: CameraModel) -> np.ndarray:
@@ -228,17 +223,16 @@ def _refine(rotation, translation, world, pixels, keep, solved, camera) -> None:
         pts_cam = rotated + translation[rows][:, None, :]
         use = keep[rows] & (pts_cam[..., 2] > 1e-9)
         behind = np.count_nonzero(use, axis=1) < MIN_FEATURES_FOR_POSE
-        if behind.any():
-            solved[rows[behind]] = False
-            ahead = ~behind
-            rows, use, rotated, pts_cam = rows[ahead], use[ahead], rotated[ahead], pts_cam[ahead]
-            if rows.size == 0:
-                return
+        solved[rows[behind]] = False
+        ahead = ~behind
+        rows, use, rotated, pts_cam = rows[ahead], use[ahead], rotated[ahead], pts_cam[ahead]
+        if rows.size == 0:
+            return
         rot, trans = rotation[rows], translation[rows]
         # Points that are not used may sit on the camera plane; their
         # entries are replaced before any sum.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            res = np.where(use[..., None], _residuals(pts_cam, pixels[rows], camera), 0.0)
+            res = np.where(use[..., None], camera.project(pts_cam) - pixels[rows], 0.0)
             jac = np.where(use[..., None, None], _jacobian(rotated, pts_cam, camera), 0.0)
             err = np.linalg.norm(res, axis=-1)
             weights = np.where(err > HUBER_DELTA_PX, HUBER_DELTA_PX / err, 1.0)
