@@ -32,13 +32,6 @@ def sample_flip_positions(n_bits: int, k: int, rng) -> np.ndarray:
     return as_generator(rng).choice(n_bits, size=k, replace=False, shuffle=False)
 
 
-def flip_bits(payload: bytes, k: int, rng) -> bytes:
-    """Invert exactly k distinct bits (LSB-first within each byte)."""
-    buf = np.frombuffer(payload, dtype=np.uint8).copy()
-    _flip_in_place(buf, k, rng)
-    return buf.tobytes()
-
-
 def corrupt(payload: bytes, ber: float, rng) -> bytes:
     """Binomial error count, then uniform distinct flips."""
     buf = np.frombuffer(payload, dtype=np.uint8).copy()
@@ -47,15 +40,13 @@ def corrupt(payload: bytes, ber: float, rng) -> bytes:
 
 
 def corrupt_in_place(buf: np.ndarray, ber: float, rng) -> None:
-    """``corrupt`` on a writable uint8 array, with the same draws."""
+    """``corrupt`` on a writable uint8 array, with the same draws.
+
+    Flips a binomial count of distinct uniform bits, LSB-first within each byte.
+    """
     gen = as_generator(rng)
     k = sample_error_count(8 * buf.size, ber, gen)
-    _flip_in_place(buf, k, gen)
-
-
-def _flip_in_place(buf: np.ndarray, k: int, rng) -> None:
-    """Invert k distinct uniform bits of ``buf``, LSB-first within each byte."""
-    positions = sample_flip_positions(8 * buf.size, k, rng)
+    positions = sample_flip_positions(8 * buf.size, k, gen)
     if positions.size:
         masks = (1 << (positions & 7)).astype(np.uint8)
         np.bitwise_xor.at(buf, positions >> 3, masks)

@@ -94,17 +94,8 @@ def _clamp(values, lo: float, hi: float) -> np.ndarray:
 def encode_payload(features, scenario: int, camera: CameraModel) -> bytes:
     """Serialize a frame's feature records into the scenario's exact wire format."""
     wire = np.empty(payload_num_bytes(scenario, camera), dtype=np.uint8)
-    encode_into(wire, features, scenario, camera)
-    return wire.tobytes()
-
-
-def encode_into(wire: np.ndarray, features, scenario: int, camera: CameraModel) -> None:
-    """``encode_payload`` into a caller's uint8 array of the payload's length.
-
-    The one-frame call of ``FrameEncoder``; the array is zero-filled first,
-    so it may hold an earlier payload.
-    """
     FrameEncoder(features, [len(features)], scenario, camera).write(wire, 0)
+    return wire.tobytes()
 
 
 class FrameEncoder:

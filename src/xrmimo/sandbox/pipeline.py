@@ -7,8 +7,9 @@ record once.  Each frame with enough features is then written into one
 reused wire buffer, takes binomial bit errors in place from the frame's own
 random stream, and has its valid slots and depths read back; only bytes
 move per frame.  The received records of the block are range-sanitised
-together, matched against the known map in one call, and the camera poses
-are solved in one stacked pass.  Each frame's result is bit-identical to
+together and matched against the known map in one call.  The matches go
+to the solver as they come, back to back with a count per frame, as the
+other block stages take their rows.  Each frame's result is bit-identical to
 running those stages on that frame alone.
 """
 
@@ -38,8 +39,6 @@ from .solver import solve_pose  # noqa: F401
 
 # Frames per block: bounds the stacked observation and the record blocks.
 BLOCK_FRAMES = 256
-
-_NO_MATCHES = np.zeros(0, dtype=MATCH_DTYPE)
 
 
 def run_pipeline(scene: Scene, camera: CameraModel, trajectory: GroundTruthTrajectory,
@@ -76,29 +75,20 @@ def _run_block(scene, camera, positions, quaternions, scenario, ber, streams):
     features, counts = observe_block(scene, camera, positions, quaternions)
     encoder = FrameEncoder(features, counts, scenario, camera)
     wire = np.empty(encoder.n_bytes, dtype=np.uint8)
-    sent = np.flatnonzero(counts >= MIN_FEATURES_FOR_POSE)
+    # A frame with too few features is not sent, and receives no records.
+    n_received = np.zeros(len(counts), dtype=np.intp)
     slots, depths = [], []
-    for i in sent:
+    for i in np.flatnonzero(counts >= MIN_FEATURES_FOR_POSE):
         encoder.write(wire, i)
         corrupt_in_place(wire, ber, np.random.default_rng(streams[i]))
         records, depth = read_slots(wire, scenario, camera)
         slots.append(records)
         depths.append(depth)
-    correspondences = [_NO_MATCHES] * len(counts)
-    if sent.size:
-        received = decode_records(concatenate_records(slots), np.concatenate(depths),
-                                  camera)
-        for i, matches in zip(sent, _match_frames(received, [len(r) for r in slots], scene)):
-            correspondences[i] = matches
-    return solve_poses(correspondences, camera)
-
-
-def _match_frames(records, counts, scene: Scene) -> list:
-    """``match_features`` of each frame of ``records``, ``counts[j]`` rows for frame j."""
-    starts = np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
-    matches = match_features(records, scene)
-    # Matches are in feature order: split them by frame, then number each
-    # frame's features from 0 again.
-    bounds = np.searchsorted(matches["feature"], starts)
-    matches["feature"] -= np.repeat(starts[:-1], np.diff(bounds))
-    return [matches[bounds[j]:bounds[j + 1]] for j in range(len(counts))]
+        n_received[i] = len(records)
+    matches = np.zeros(0, dtype=MATCH_DTYPE)
+    if slots:
+        received = decode_records(concatenate_records(slots), np.concatenate(depths), camera)
+        matches = match_features(received, scene)
+    # Matches are in feature order, so frames 0 to j own those below frame j's end.
+    ends = np.searchsorted(matches["feature"], np.cumsum(n_received))
+    return solve_poses(matches, np.diff(ends, prepend=0), camera)

@@ -6,13 +6,15 @@ their depths, rigidly align the matched world landmarks onto those points
 outliers), then refine by Gauss-Newton on the pixel reprojection error
 under a Huber loss.
 
-Frames are solved as a stack: their correspondences are padded to one
-length with a validity mask, and each stage runs once for every frame
-still in it.  A frame's result does not depend on the other frames in its
-stack, bit for bit: masked rows enter every sum as zeros after or between
-the real rows, no sum runs along the correspondence axis as its innermost
-one, and a frame leaves a stage by mask, so ``solve_pose`` on one frame
-gives the same bits as that frame's row of ``solve_poses``.  That is what
+``solve_poses`` takes many frames' correspondences back to back with a
+count per frame, as the pipeline's other block stages take their records.
+It gathers them into stacks, padded to one length with a validity mask,
+and each stage runs once for every frame still in a stack.  A frame's
+result does not depend on the other frames in its stack, bit for bit:
+masked rows enter every sum as zeros after or between the real rows, no
+sum runs along the correspondence axis as its innermost one, and a frame
+leaves a stage by mask, so ``solve_pose`` on one frame gives the same
+bits as that frame's row of ``solve_poses``.  That is what
 lets ``solve_poses`` sort the frames by correspondence count before
 cutting them into stacks, which pads fewer rows, and lets each
 Gauss-Newton step rotate the points once for its depth test, residuals
@@ -32,7 +34,7 @@ import numpy as np
 
 from ..metrics import stacked_outer_sum, umeyama_align_stacked
 from .camera import CameraModel
-from .features import MIN_FEATURES_FOR_POSE, concatenate_records
+from .features import MIN_FEATURES_FOR_POSE
 from .matching import MATCH_DTYPE
 from .rotations import matrix_to_quat, rotvec_to_matrix
 
@@ -116,34 +118,41 @@ def solve_pose(correspondences, camera: CameraModel) -> PoseSolveResult:
     ``depth`` and ``world`` columns are read.  The one-frame call of
     ``solve_poses``.
     """
-    solved, positions, quaternions, n_inliers = solve_poses([correspondences], camera)
+    solved, positions, quaternions, n_inliers = solve_poses(
+        correspondences, [len(correspondences)], camera)
     return PoseSolveResult(solved=bool(solved[0]), position=positions[0],
                            quaternion=quaternions[0], n_inliers=int(n_inliers[0]))
 
 
-def solve_poses(correspondences, camera: CameraModel):
-    """Camera poses of many frames, one ``MATCH_DTYPE`` array each.
+def solve_poses(matches, counts, camera: CameraModel):
+    """Camera poses of many frames from their correspondences, back to back.
 
-    Returns (solved, positions, quaternions, n_inliers) with one row per
-    frame.  An unsolved frame has a NaN position, the identity quaternion
-    and 0 inliers.  Frames are sorted by correspondence count and solved
-    in stacks of ``SOLVE_CHUNK_FRAMES``; the result does not depend on
-    their order.
+    ``matches`` is a ``MATCH_DTYPE`` array holding frame 0's rows, then
+    frame 1's, and so on; ``counts[j]`` is the number of frame j's rows.
+    Only the ``pixel``, ``depth`` and ``world`` columns are read.  Returns
+    (solved, positions, quaternions, n_inliers) with one row per frame.  An
+    unsolved frame has a NaN position, the identity quaternion and 0
+    inliers.  Frames are sorted by row count and solved in stacks of
+    ``SOLVE_CHUNK_FRAMES``; the result does not depend on their order.
     """
-    n = len(correspondences)
+    counts = np.asarray(counts, dtype=np.intp)
+    n = counts.size
+    starts = np.cumsum(counts) - counts
     solved = np.zeros(n, dtype=bool)
     positions = np.full((n, 3), np.nan)
     quaternions = np.tile(np.array([0.0, 0.0, 0.0, 1.0]), (n, 1))
     n_inliers = np.zeros(n, dtype=int)
-    sizes = np.array([len(matches) for matches in correspondences], dtype=int)
     # Stacks of similar sizes pad fewer rows; the stable sort keeps frame
     # order among equal sizes.
-    frames = np.flatnonzero(sizes >= MIN_FEATURES_FOR_POSE)
-    frames = frames[np.argsort(sizes[frames], kind="stable")]
+    frames = np.flatnonzero(counts >= MIN_FEATURES_FOR_POSE)
+    frames = frames[np.argsort(counts[frames], kind="stable")]
     for start in range(0, frames.size, SOLVE_CHUNK_FRAMES):
         chunk = frames[start:start + SOLVE_CHUNK_FRAMES]
-        ok, rotation, translation, kept = _solve_stack([correspondences[i] for i in chunk],
-                                                       camera)
+        offsets = np.arange(counts[chunk].max())
+        valid = offsets < counts[chunk, None]
+        packed = np.zeros(valid.shape, dtype=MATCH_DTYPE)
+        packed[valid] = matches[(starts[chunk, None] + offsets)[valid]]
+        ok, rotation, translation, kept = _solve_stack(packed, valid, camera)
         rotation_wc = np.swapaxes(rotation[ok], 1, 2)
         done = chunk[ok]
         solved[done] = True
@@ -154,20 +163,18 @@ def solve_poses(correspondences, camera: CameraModel):
     return solved, positions, quaternions, n_inliers
 
 
-def _solve_stack(correspondences, camera: CameraModel):
+def _solve_stack(packed, valid, camera: CameraModel):
     """Trim and refine one stack of frames with at least 4 correspondences each.
 
-    Returns the solved flags, world-to-camera rotations and translations,
-    and inlier counts, one row per frame.
+    ``packed`` holds one frame's ``MATCH_DTYPE`` rows per row, padded to one
+    length, and ``valid`` marks the real ones.  Returns the solved flags,
+    world-to-camera rotations and translations, and inlier counts, one row
+    per frame.
     """
-    sizes = np.array([len(matches) for matches in correspondences])
-    valid = np.arange(sizes.max()) < sizes[:, None]
-    packed = np.zeros(valid.shape, dtype=MATCH_DTYPE)
-    packed[valid] = concatenate_records(correspondences)
     pixels, world = packed["pixel"], packed["world"]
     cam_pts = camera.back_project(pixels, packed["depth"])
 
-    n_frames = len(sizes)
+    n_frames = len(packed)
     solved = np.ones(n_frames, dtype=bool)
     rotation = np.empty((n_frames, 3, 3))
     translation = np.empty((n_frames, 3))

@@ -1,5 +1,6 @@
 """Bit-error injection tests, and the receiver's range clamp."""
 
+import copy
 from collections import Counter
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from xrmimo.biterrors import corrupt, flip_bits, sample_error_count, sample_flip_positions
+from xrmimo.biterrors import corrupt, sample_error_count, sample_flip_positions
 from xrmimo.sandbox import (
     MAX_FEATURES_PER_FRAME,
     RECORD_WITH_DEPTH_DTYPE,
@@ -60,22 +61,25 @@ class TestSampleErrorCount:
 class TestFlipBits:
     def test_zero_flips_identity(self):
         payload = bytes(range(256))
-        assert flip_bits(payload, 0, np.random.default_rng(0)) == payload
+        assert corrupt(payload, 0.0, np.random.default_rng(0)) == payload
 
     def test_all_flips_complement(self):
         payload = bytes(range(256))
-        flipped = flip_bits(payload, 8 * len(payload), np.random.default_rng(0))
+        flipped = corrupt(payload, 1.0, np.random.default_rng(0))
         assert flipped == bytes(b ^ 0xFF for b in payload)
 
     def test_exact_hamming_distance(self):
         rng = np.random.default_rng(2)
         payload = bytes(rng.integers(0, 256, 4096, dtype=np.uint8))
-        for k in (1, 17, 1000, 20000):
-            assert hamming_distance(flip_bits(payload, k, rng), payload) == k
+        n_bits = 8 * len(payload)
+        for mean in (1, 17, 1000, 20000):
+            # ``corrupt`` draws its flip count first; a clone draws the same one.
+            k = sample_error_count(n_bits, mean / n_bits, copy.deepcopy(rng))
+            assert hamming_distance(corrupt(payload, mean / n_bits, rng), payload) == k
 
     def test_too_many_flips_rejected(self):
         with pytest.raises(ValueError):
-            flip_bits(b"\x00", 9, np.random.default_rng(0))
+            sample_flip_positions(8, 9, np.random.default_rng(0))
 
     def test_positions_distinct_and_in_range(self):
         rng = np.random.default_rng(3)

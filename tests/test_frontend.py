@@ -13,13 +13,13 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import xrmimo.sandbox.matching as matching_module
-import xrmimo.sandbox.pipeline as pipeline_module
 from test_matching import oracle_match
 from test_sandbox_scene import landmark_ids
 from test_solver import invisible_scene
 from xrmimo.biterrors import corrupt, corrupt_in_place
 from xrmimo.exceptions import FramingError
 from xrmimo.sandbox import (
+    MATCH_DTYPE,
     MAX_FEATURES_PER_FRAME,
     RECORD_WITH_DEPTH_DTYPE,
     CameraModel,
@@ -34,7 +34,7 @@ from xrmimo.sandbox import (
 )
 from xrmimo.sandbox.features import observe_block
 from xrmimo.sandbox.matching import SEARCH_BLOCK_ROWS
-from xrmimo.sandbox.payload import encode_into
+from xrmimo.sandbox.payload import FrameEncoder
 
 CAMERA = CameraModel()
 # Power-of-two intrinsics put landmarks at x, y = +-0.5 z exactly on the
@@ -160,16 +160,19 @@ class TestWire:
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     def test_encode_into_a_used_array_equals_encode_payload(self, scenario):
         scene, traj = generate_scene(400, rng=5), generate_trajectory(3, rng=6)
+        features, counts = observe_block(scene, CAMERA, traj.positions, traj.quaternions)
+        encoder = FrameEncoder(features, counts, scenario, CAMERA)
         wire = np.full(payload_num_bytes(scenario, CAMERA), 0xA5, dtype=np.uint8)
-        for features in observe_frames(scene, CAMERA, traj.positions, traj.quaternions):
-            encode_into(wire, features, scenario, CAMERA)
-            assert wire.tobytes() == encode_payload(features, scenario, CAMERA)
+        for i, records in enumerate(np.split(features, np.cumsum(counts)[:-1])):
+            encoder.write(wire, i)
+            assert wire.tobytes() == encode_payload(records, scenario, CAMERA)
 
     def test_encode_into_rejects_a_wrong_length(self):
         features = observe(generate_scene(400, rng=5), CAMERA, [2.0, 1.2, 1.2], IDENTITY)
+        encoder = FrameEncoder(features, [len(features)], 2, CAMERA)
         wire = np.zeros(payload_num_bytes(2, CAMERA) - 1, dtype=np.uint8)
         with pytest.raises(FramingError):
-            encode_into(wire, features, 2, CAMERA)
+            encoder.write(wire, 0)
 
     @pytest.mark.parametrize("ber", [0.0, 1e-5, 1e-2, 0.5])
     @pytest.mark.parametrize("scenario", [1, 2, 3])
@@ -206,10 +209,17 @@ def test_trajectory_match_equals_per_frame_matches(monkeypatch):
     distances = matching_module.descriptor_distances
     monkeypatch.setattr(matching_module, "descriptor_distances",
                         lambda a, b: searched.append(len(a)) or distances(a, b))
-    frames = pipeline_module._match_frames(records, [len(d) for d in decoded], scene)
+    block = match_features(records, scene)
     assert sum(searched) >= 2 * SEARCH_BLOCK_ROWS + 1
     assert max(searched) <= SEARCH_BLOCK_ROWS
-    assert len(frames) == len(per_frame)
-    for j, (got, expected) in enumerate(zip(frames, per_frame)):
-        assert got.tobytes() == expected.tobytes(), j
-    assert pipeline_module._match_frames(records[:0], [], scene) == []
+    # Frame j's rows of the block match are its own matches, except that the
+    # block numbers features from frame j's first record, not from 0.
+    starts = np.cumsum([0] + [len(d) for d in decoded])
+    assert (np.diff(block["feature"]) > 0).all()
+    for j, expected in enumerate(per_frame):
+        got = block[(block["feature"] >= starts[j]) & (block["feature"] < starts[j + 1])]
+        for name in MATCH_DTYPE.names:
+            want = starts[j] + expected[name] if name == "feature" else expected[name]
+            assert got[name].tobytes() == want.tobytes(), (j, name)
+    assert sum(len(expected) for expected in per_frame) == len(block)
+    assert len(match_features(records[:0], scene)) == 0

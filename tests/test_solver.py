@@ -31,6 +31,7 @@ from xrmimo.sandbox import (
     solve_pose,
     solve_poses,
 )
+from xrmimo.sandbox.features import observe_block
 from xrmimo.sandbox.pipeline import BLOCK_FRAMES
 from xrmimo.sandbox.solver import SOLVE_CHUNK_FRAMES
 from xrmimo.seeding import seed_sequence
@@ -205,7 +206,17 @@ def mixed_batch():
             name, frame = "good", noisy_frame(rng, sizes[i % len(sizes)])
         frames.append(frame)
         names.append(name)
-    return frames, names
+    # Frames without correspondences: first, between the others and last.
+    empty = np.zeros(0, dtype=MATCH_DTYPE)
+    for i in (0, 40, 41, 97):
+        frames.insert(i, empty)
+        names.insert(i, "no matches")
+    return frames + [empty, empty], names + ["no matches", "no matches"]
+
+
+def solve_frames(frames):
+    """``solve_poses`` on the frames' correspondences back to back."""
+    return solve_poses(np.concatenate(frames), [len(f) for f in frames], CAMERA)
 
 
 class TestStackedSolve:
@@ -224,10 +235,11 @@ class TestStackedSolve:
         frames, names = mixed_batch()
         assert {len(f) for f in frames if len(f) >= 4} >= {4, 5, 8}
         assert max(len(f) for f in frames) >= 140
-        solved, positions, quaternions, n_inliers = solve_poses(frames, CAMERA)
+        solved, positions, quaternions, n_inliers = solve_frames(frames)
         assert solved[[n == "good" for n in names]].all()
         assert set(names) == {"good", "four matches", "three matches", "collinear",
-                              "trimmed below 4", "behind camera", "singular"}
+                              "trimmed below 4", "behind camera", "singular", "no matches"}
+        assert names[-2:] == ["no matches", "no matches"]
         for i, (frame, name) in enumerate(zip(frames, names)):
             alone = solve_pose(frame, CAMERA)
             assert alone.solved == (name in ("good", "four matches", "singular")), name
@@ -241,18 +253,24 @@ class TestStackedSolve:
         # permuted batch must give the permuted rows, ties included.
         frames, _ = mixed_batch()
         frames += [frames[0].copy(), frames[1].copy()]
-        reference = solve_poses(frames, CAMERA)
+        reference = solve_frames(frames)
         order = np.random.default_rng(24).permutation(len(frames))
         for perm in (order, order[::-1]):
-            got = solve_poses([frames[i] for i in perm], CAMERA)
+            got = solve_frames([frames[i] for i in perm])
             for name, expected, row in zip(("solved", "positions", "quaternions", "inliers"),
                                            reference, got):
                 assert expected[perm].tobytes() == row.tobytes(), name
 
     def test_empty_batch(self):
-        solved, positions, quaternions, n_inliers = solve_poses([], CAMERA)
+        empty = np.zeros(0, dtype=MATCH_DTYPE)
+        solved, positions, quaternions, n_inliers = solve_poses(empty, [], CAMERA)
         assert solved.shape == (0,) and positions.shape == (0, 3)
         assert quaternions.shape == (0, 4) and n_inliers.shape == (0,)
+        solved, positions, quaternions, n_inliers = solve_poses(empty, [0, 0, 0], CAMERA)
+        assert solved.shape == (3,) and not solved.any()
+        assert positions.shape == (3, 3) and np.isnan(positions).all()
+        assert (quaternions == [0.0, 0.0, 0.0, 1.0]).all() and quaternions.shape == (3, 4)
+        assert n_inliers.shape == (3,) and not n_inliers.any()
 
 
 class TestJacobian:
@@ -344,6 +362,17 @@ class TestPipeline:
         scene, traj = invisible_scene(), generate_trajectory(10, rng=15)
         estimate = run_pipeline(scene, CAMERA, traj, 3, 0.0, rng=16)
         assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, 3, 0.0, 16))
+
+    def test_sparse_scene_equals_per_frame_replay(self):
+        # Frames that see 1 to 3 landmarks are not sent; they sit before and
+        # between frames that are sent and solved.
+        scene, traj = generate_scene(30, rng=1), generate_trajectory(20, rng=41)
+        _, counts = observe_block(scene, CAMERA, traj.positions, traj.quaternions)
+        unsent = (counts > 0) & (counts < MIN_FEATURES_FOR_POSE)
+        estimate = run_pipeline(scene, CAMERA, traj, 2, 0.0, rng=42)
+        assert unsent[:2].all() and unsent[7:11].all()
+        assert estimate.solved[2:7].all() and estimate.solved[12:17].all()
+        assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, 2, 0.0, 42))
 
     def test_block_boundary_equals_per_frame_replay(self, world):
         scene, _ = world
