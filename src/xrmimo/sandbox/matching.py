@@ -5,29 +5,36 @@ descriptor search with an absolute distance gate and a second-best margin.
 Scene descriptors are pairwise >= 80 apart (``Scene`` enforces it), which
 makes uncorrupted matches unambiguous.
 
-Two exact prunings settle most rows before any full distance row is
+Two exact steps settle most rows before any full distance row is
 computed, and neither changes a decision of the rule:
 
-* a row equal to landmark j's descriptor is at distance 0 from j and, by
-  the triangle inequality, at least 80 >= 0 + ``MIN_SECOND_BEST_MARGIN``
-  from every other landmark, so the rule accepts it with j.  The lookup
-  sorts the landmarks by their first 64-bit word and then compares the
-  whole descriptor; a row that shares a first word with a landmark but
-  differs elsewhere takes the full search.
 * |popcount(a) - popcount(b)| <= d(a, b), so a row whose popcount lies
   more than ``MAX_MATCH_DISTANCE`` outside the range of the landmarks'
   popcounts is farther than that from every landmark and is rejected.
   This catches the phantom slots, which are near-zero descriptors.
+* the one-word lookup.  For each of the four 64-bit words, the landmarks
+  are sorted by that word, and a row is paired with the landmark its word
+  sorts onto, which shares the word if any landmark does.  A row at
+  distance d <= ``LOOKUP_MAX_DISTANCE`` (24) from that landmark j is
+  accepted with j: every other landmark is at least 80 - d >= d +
+  ``MIN_SECOND_BEST_MARGIN`` bits away, so the rule picks j and accepts.
+  A record with at most 24 flipped bits keeps one of its four words
+  intact unless the flips hit every word, so most corrupted records
+  settle here, and uncorrupted ones at distance 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scene import Scene, descriptor_distances
+from .scene import MIN_DESCRIPTOR_HAMMING, Scene, descriptor_distances
 
 MAX_MATCH_DISTANCE = 64
 MIN_SECOND_BEST_MARGIN = 32
+# The farthest a row may be from one landmark and still be accepted with it
+# whatever the other landmarks are (see the module docstring).
+LOOKUP_MAX_DISTANCE = min((MIN_DESCRIPTOR_HAMMING - MIN_SECOND_BEST_MARGIN) // 2,
+                          MAX_MATCH_DISTANCE)
 # Rows per full search, so the (rows, landmarks) distance block stays
 # small when a whole trajectory's records are matched in one call.
 SEARCH_BLOCK_ROWS = 256
@@ -58,17 +65,23 @@ def match_features(features, scene: Scene) -> np.ndarray:
     rows = descriptors.view("<u8")
     landmarks = scene.descriptors.view("<u8")
 
-    # Distance-0 lookup, then the popcount bound; the rest take the full rule.
-    order = np.argsort(landmarks[:, 0], kind="stable")
-    slot = np.searchsorted(landmarks[order, 0], rows[:, 0])
-    best_idx = order[np.minimum(slot, order.size - 1)]
-    accept = (landmarks[best_idx] == rows).all(axis=1)
-
+    # The popcount bound, then the one-word lookup; the rest take the full rule.
     counts = _popcounts(rows)
     landmark_counts = _popcounts(landmarks)
-    reachable = ((counts >= landmark_counts.min() - MAX_MATCH_DISTANCE)
-                 & (counts <= landmark_counts.max() + MAX_MATCH_DISTANCE))
-    rest = np.flatnonzero(~accept & reachable)
+    rest = np.flatnonzero((counts >= landmark_counts.min() - MAX_MATCH_DISTANCE)
+                          & (counts <= landmark_counts.max() + MAX_MATCH_DISTANCE))
+    accept = np.zeros(len(rows), dtype=bool)
+    best_idx = np.zeros(len(rows), dtype=np.intp)
+    for word in range(rows.shape[1]):
+        if not rest.size:
+            break
+        order = np.argsort(landmarks[:, word], kind="stable")
+        slot = np.searchsorted(landmarks[order, word], rows[rest, word])
+        candidate = order[np.minimum(slot, order.size - 1)]
+        near = _popcounts(landmarks[candidate] ^ rows[rest]) <= LOOKUP_MAX_DISTANCE
+        best_idx[rest[near]] = candidate[near]
+        accept[rest[near]] = True
+        rest = rest[~near]
     for start in range(0, rest.size, SEARCH_BLOCK_ROWS):
         block = rest[start:start + SEARCH_BLOCK_ROWS]
         dist = descriptor_distances(descriptors[block], scene.descriptors)

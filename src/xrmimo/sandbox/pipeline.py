@@ -3,17 +3,23 @@
 The trajectory is processed in blocks of at most ``BLOCK_FRAMES`` frames,
 so memory stays bounded however long it is.  In a block, every frame's
 features are observed in one stacked projection and converted to the wire
-record once.  Each frame with enough features is then written into one
+record once.  Each frame with enough features is then written into a
 reused wire buffer, takes binomial bit errors in place from the frame's own
 random stream, and has its valid slots and depths read back; only bytes
-move per frame.  The received records of the block are range-sanitised
-together and matched against the known map in one call.  The matches go
-to the solver as they come, back to back with a count per frame, as the
-other block stages take their rows.  Each frame's result is bit-identical to
-running those stages on that frame alone.
+move per frame.  Where the frames expect dense bit errors, this link stage
+runs on two threads, each over a contiguous half of the frames with its own
+wire, since numpy draws and applies the flips without holding the GIL.  The
+received records of the block are range-sanitised together and matched
+against the known map in one call, where the popcount bound and the
+one-word lookup settle most rows before any full distance search.  The
+matches go to the solver as they come, back to back with a count per
+frame, as the other block stages take their rows.  Each frame's result is
+bit-identical to running those stages on that frame alone.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -39,6 +45,11 @@ from .solver import solve_pose  # noqa: F401
 
 # Frames per block: bounds the stacked observation and the record blocks.
 BLOCK_FRAMES = 256
+# Expected bit flips per frame from which a block's link stage runs on two
+# threads.  numpy draws and applies the flips without holding the GIL, but
+# below about 8000 flips a frame the GIL-held write, read and generator
+# set-up dominate and a second thread is slower; the gate is twice that.
+PARALLEL_LINK_FLIPS = 16_384
 
 
 def run_pipeline(scene: Scene, camera: CameraModel, trajectory: GroundTruthTrajectory,
@@ -74,21 +85,49 @@ def _run_block(scene, camera, positions, quaternions, scenario, ber, streams):
     """``solve_poses`` output for one block of frames."""
     features, counts = observe_block(scene, camera, positions, quaternions)
     encoder = FrameEncoder(features, counts, scenario, camera)
-    wire = np.empty(encoder.n_bytes, dtype=np.uint8)
     # A frame with too few features is not sent, and receives no records.
+    sent = np.flatnonzero(counts >= MIN_FEATURES_FOR_POSE)
+    if 8 * encoder.n_bytes * ber >= PARALLEL_LINK_FLIPS and _usable_cpus() >= 2:
+        # Imported here, so that ``import xrmimo`` does not pay for it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        half = len(sent) // 2
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            second = pool.submit(_link, encoder, sent[half:], ber, streams, scenario, camera)
+            received = _link(encoder, sent[:half], ber, streams, scenario, camera)
+            received += second.result()
+    else:
+        received = _link(encoder, sent, ber, streams, scenario, camera)
     n_received = np.zeros(len(counts), dtype=np.intp)
-    slots, depths = [], []
-    for i in np.flatnonzero(counts >= MIN_FEATURES_FOR_POSE):
-        encoder.write(wire, i)
-        corrupt_in_place(wire, ber, np.random.default_rng(streams[i]))
-        records, depth = read_slots(wire, scenario, camera)
-        slots.append(records)
-        depths.append(depth)
-        n_received[i] = len(records)
+    n_received[sent] = [len(records) for records, _ in received]
     matches = np.zeros(0, dtype=MATCH_DTYPE)
-    if slots:
-        received = decode_records(concatenate_records(slots), np.concatenate(depths), camera)
-        matches = match_features(received, scene)
+    if received:
+        slots, depths = zip(*received)
+        matches = match_features(
+            decode_records(concatenate_records(slots), np.concatenate(depths), camera), scene)
     # Matches are in feature order, so frames 0 to j own those below frame j's end.
     ends = np.searchsorted(matches["feature"], np.cumsum(n_received))
     return solve_poses(matches, np.diff(ends, prepend=0), camera)
+
+
+def _link(encoder, frames, ber, streams, scenario, camera):
+    """The ``read_slots`` output of each of ``frames``, in order, after its trip over the link.
+
+    Each frame is written into this call's own wire and takes bit errors
+    from its own stream, so calls on disjoint frames may run on different
+    threads and give the bytes of one call over all of them.
+    """
+    wire = np.empty(encoder.n_bytes, dtype=np.uint8)
+    received = []
+    for i in frames:
+        encoder.write(wire, i)
+        corrupt_in_place(wire, ber, np.random.default_rng(streams[i]))
+        received.append(read_slots(wire, scenario, camera))
+    return received
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

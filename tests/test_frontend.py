@@ -33,7 +33,7 @@ from xrmimo.sandbox import (
     payload_num_bytes,
 )
 from xrmimo.sandbox.features import observe_block
-from xrmimo.sandbox.matching import SEARCH_BLOCK_ROWS
+from xrmimo.sandbox.matching import MAX_MATCH_DISTANCE, SEARCH_BLOCK_ROWS
 from xrmimo.sandbox.payload import FrameEncoder
 
 CAMERA = CameraModel()
@@ -196,9 +196,12 @@ class TestWire:
 def test_trajectory_match_equals_per_frame_matches(monkeypatch):
     scene, traj = generate_scene(400, rng=8), generate_trajectory(12, rng=9)
     decoded = []
+    # At BER 0.1 a record takes about 26 descriptor flips: some records
+    # still settle in the one-word lookup, and more than two blocks of rows
+    # reach the full search.
     for i, features in enumerate(observe_frames(scene, CAMERA, traj.positions,
                                                 traj.quaternions)):
-        received = corrupt(encode_payload(features, 2, CAMERA), 1e-2, np.random.default_rng(i))
+        received = corrupt(encode_payload(features, 2, CAMERA), 0.1, np.random.default_rng(i))
         decoded.append(decode_payload(received, 2, CAMERA))
     decoded.insert(5, decoded[5][:0])
     per_frame = [match_features(records, scene) for records in decoded]
@@ -212,6 +215,12 @@ def test_trajectory_match_equals_per_frame_matches(monkeypatch):
     block = match_features(records, scene)
     assert sum(searched) >= 2 * SEARCH_BLOCK_ROWS + 1
     assert max(searched) <= SEARCH_BLOCK_ROWS
+    # Rows within the popcount bound either settle in the lookup or are searched.
+    popcounts = np.unpackbits(records["descriptor"], axis=1).sum(axis=1)
+    landmark_popcounts = np.unpackbits(scene.descriptors, axis=1).sum(axis=1)
+    reachable = ((popcounts >= landmark_popcounts.min() - MAX_MATCH_DISTANCE)
+                 & (popcounts <= landmark_popcounts.max() + MAX_MATCH_DISTANCE))
+    assert reachable.sum() - sum(searched) > 0
     # Frame j's rows of the block match are its own matches, except that the
     # block numbers features from frame j's first record, not from 0.
     starts = np.cumsum([0] + [len(d) for d in decoded])

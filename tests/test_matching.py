@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+import xrmimo.sandbox.matching as matching_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,11 @@ from xrmimo.sandbox import (
     generate_scene,
     match_features,
 )
-from xrmimo.sandbox.matching import MAX_MATCH_DISTANCE, MIN_SECOND_BEST_MARGIN
+from xrmimo.sandbox.matching import (
+    LOOKUP_MAX_DISTANCE,
+    MAX_MATCH_DISTANCE,
+    MIN_SECOND_BEST_MARGIN,
+)
 
 
 def oracle_match(features, scene):
@@ -138,6 +144,98 @@ def test_equals_full_matrix_rule(name, data):
     got = match_features(features, scene)
     assert got.dtype == MATCH_DTYPE
     assert got.tobytes() == oracle_match(features, scene).tobytes()
+
+
+def tight_scene():
+    """40 landmarks where 0 and 1 are exactly ``MIN_DESCRIPTOR_HAMMING`` bits apart.
+
+    They differ only in their last two 64-bit words, so they share the first two.
+    """
+    scene = generate_scene(40, rng=64)
+    descriptors = scene.descriptors.copy()
+    descriptors[1] = flip(descriptors[0], range(256 - MIN_DESCRIPTOR_HAMMING, 256))
+    return Scene(positions=scene.positions, descriptors=descriptors,
+                 intensities=scene.intensities)
+
+
+def closest_pair(scene):
+    dist = descriptor_distances(scene.descriptors, scene.descriptors)
+    np.fill_diagonal(dist, np.iinfo(dist.dtype).max)
+    return np.unravel_index(np.argmin(dist), dist.shape)
+
+
+LOOKUP_SCENES = {**SCENES, "tight": tight_scene()}
+
+
+@st.composite
+def received_rows(draw, scene):
+    """A row as the receiver sees it: a record with 0-40 flipped bits, or junk.
+
+    A "clean word" record keeps one 64-bit word intact; an "every word"
+    record has at least one flip in each word, so no word can find its
+    landmark.  Phantoms are empty slots with a few bits set.  A "between"
+    row lies on the way from one landmark of the scene's closest pair to the
+    other, near where the margin to the second nearest falls below 32.
+    """
+    kind = draw(st.sampled_from(["clean word", "every word", "phantom", "random", "between"]))
+    if kind == "random":
+        return np.frombuffer(draw(st.binary(min_size=32, max_size=32)), dtype=np.uint8)
+    if kind == "phantom":
+        return flip(np.zeros(32, np.uint8), draw(st.sets(st.integers(0, 255), max_size=12)))
+    if kind == "between":
+        a, b = closest_pair(scene)
+        bits_a, bits_b = np.unpackbits(scene.descriptors[a]), np.unpackbits(scene.descriptors[b])
+        differ = np.flatnonzero(bits_a != bits_b)
+        # The margin is 32 at (d(a, b) - 32) / 2 steps from a.
+        crossing = (differ.size - MIN_SECOND_BEST_MARGIN) // 2
+        steps = draw(st.integers(crossing - 2, crossing + 8))
+        return flip(scene.descriptors[a], differ[:steps])
+    landmark = scene.descriptors[draw(st.integers(0, scene.n_landmarks - 1))]
+    if kind == "clean word":
+        clean = draw(st.integers(0, 3))
+        hit = [bit for bit in range(256) if bit // 64 != clean]
+        bits = draw(st.sets(st.sampled_from(hit), max_size=40))
+    else:
+        bits = {draw(st.integers(64 * word, 64 * word + 63)) for word in range(4)}
+        bits |= draw(st.sets(st.integers(0, 255), max_size=36))
+    return flip(landmark, bits)
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_SCENES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_word_lookup_equals_full_matrix_rule(name, data):
+    scene = LOOKUP_SCENES[name]
+    drawn = data.draw(st.lists(received_rows(scene), max_size=40), label="rows")
+    features = make_features(drawn)
+    assert match_features(features, scene).tobytes() == oracle_match(features, scene).tobytes()
+
+
+def test_lookup_bound_follows_the_scene_separation():
+    assert LOOKUP_MAX_DISTANCE == 24
+    assert MIN_DESCRIPTOR_HAMMING - LOOKUP_MAX_DISTANCE >= (LOOKUP_MAX_DISTANCE
+                                                           + MIN_SECOND_BEST_MARGIN)
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_SCENES))
+@pytest.mark.parametrize("distance, searched", [(24, 0), (25, 1)])
+def test_lookup_boundary(name, distance, searched, monkeypatch):
+    """A row sharing its first word with a landmark settles in the lookup up to 24 bits away."""
+    scene = LOOKUP_SCENES[name]
+    rows = []
+    distances = matching_module.descriptor_distances
+    monkeypatch.setattr(matching_module, "descriptor_distances",
+                        lambda a, b: rows.append(len(a)) or distances(a, b))
+    # Flips past the first word, toward landmark 1 in the tight scene.
+    bits = np.flatnonzero(np.unpackbits(scene.descriptors[0])
+                          != np.unpackbits(scene.descriptors[1]))
+    features = make_features([flip(scene.descriptors[0], bits[bits >= 64][:distance])])
+    matches = match_features(features, scene)
+    assert sum(rows) == searched
+    monkeypatch.undo()
+    assert matches.tobytes() == oracle_match(features, scene).tobytes()
+    # In the tight scene, 25 bits toward landmark 1 leave a margin of 30.
+    assert matches["landmark"].tolist() == ([] if (name, distance) == ("tight", 25) else [0])
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))

@@ -56,3 +56,11 @@ def test_import_leaves_yaml_unloaded():
     # Only ``load_config`` with a file reads YAML, so it imports PyYAML itself.
     loaded = loaded_packages(ACTIONS["import xrmimo"] + "\nassert 'yaml' not in sys.modules")
     assert "xrmimo" in loaded and "yaml" not in loaded
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # ``run_pipeline`` imports ``concurrent.futures`` only when a block's link
+    # stage runs on two threads.
+    loaded = loaded_packages(ACTIONS["import xrmimo"]
+                             + "\nassert 'concurrent.futures' not in sys.modules")
+    assert "xrmimo" in loaded

@@ -1,6 +1,9 @@
 """Matching, pose solving, and end-to-end pipeline tests."""
 
+import math
+import threading
 import tracemalloc
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import xrmimo.sandbox.pipeline as pipeline_module
 from test_sandbox_scene import landmark_ids
 from xrmimo.biterrors import corrupt
 from xrmimo.exceptions import AlignmentError
@@ -17,6 +21,7 @@ from xrmimo.sandbox import (
     RECORD_WITH_DEPTH_DTYPE,
     MIN_FEATURES_FOR_POSE,
     CameraModel,
+    GroundTruthTrajectory,
     Scene,
     TrajectoryEstimate,
     decode_payload,
@@ -344,6 +349,79 @@ def invisible_scene():
         descriptors=rng.integers(0, 256, (4, 32), dtype=np.uint8),
         intensities=rng.integers(0, 256, 4, dtype=np.uint8),
     )
+
+
+LINK, MATCH = pipeline_module._link, pipeline_module.match_features
+
+
+def run_with_gate(monkeypatch, flips, cpus, *args, **kwargs):
+    """``run_pipeline`` with the two-thread gate and the CPU count set.
+
+    Also returns the thread that ran each ``_link`` call, and a digest of
+    each block's received records.
+    """
+    threads, received = [], []
+    monkeypatch.setattr(pipeline_module, "PARALLEL_LINK_FLIPS", flips)
+    monkeypatch.setattr(pipeline_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline_module, "_link",
+                        lambda *a: threads.append(threading.get_ident()) or LINK(*a))
+    monkeypatch.setattr(pipeline_module, "match_features",
+                        lambda records, scene: received.append(sha256(records).hexdigest())
+                        or MATCH(records, scene))
+    return run_pipeline(*args, **kwargs), threads, received
+
+
+def assert_links_cannot_move_a_bit(monkeypatch, scene, traj, scenario, ber, rng):
+    """Gate off, then on with 1 and with 2 CPUs: the same bytes, and two threads only on 2 CPUs."""
+    n_blocks = -(-traj.n_frames // pipeline_module.BLOCK_FRAMES)
+    main = threading.get_ident()
+    args = (scene, CAMERA, traj, scenario, ber)
+    reference, threads, received = run_with_gate(monkeypatch, math.inf, 2, *args, rng=rng)
+    assert threads == [main] * n_blocks and len(received) == n_blocks
+    for cpus in (1, 2):
+        estimate, threads, same_received = run_with_gate(monkeypatch, 0, cpus, *args, rng=rng)
+        # On 2 CPUs the calling thread takes one half of each block and a worker the other.
+        assert threads.count(main) == n_blocks == len(threads) // cpus
+        assert same_received == received
+        assert_same_bytes(estimate, reference)
+    return reference
+
+
+class TestLinkThreads:
+    @pytest.mark.parametrize("ber", [0.0, 1e-5, 1e-2, 0.3])
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_two_threads_give_the_bytes_of_one(self, world, monkeypatch, scenario, ber):
+        scene, _ = world
+        n_frames = 300
+        if ber == 0.3:
+            # A frame takes 3-150 ms to corrupt at this BER, so these cases
+            # cross block boundaries with shorter blocks.  The last block has
+            # one frame, so the calling thread's half of it is empty.
+            monkeypatch.setattr(pipeline_module, "BLOCK_FRAMES", 3)
+            n_frames = 7
+        traj = generate_trajectory(n_frames, rng=37)
+        assert pipeline_module.BLOCK_FRAMES < n_frames < 3 * pipeline_module.BLOCK_FRAMES
+        estimate = assert_links_cannot_move_a_bit(monkeypatch, scene, traj, scenario, ber, 38)
+        # At BER 0.3 no frame solves; the received records above still compare.
+        assert estimate.n_unsolved < n_frames or ber == 0.3
+
+    @pytest.mark.parametrize("ber", [0.0, 1e-2])
+    def test_sparse_scene(self, monkeypatch, ber):
+        # The scene and trajectory of test_sparse_scene_equals_per_frame_replay,
+        # flown there and back, so that unsent frames sit between the sent
+        # ones of both halves, and the halves differ even at BER 0.
+        scene, once = generate_scene(30, rng=1), generate_trajectory(20, rng=41)
+        traj = GroundTruthTrajectory(
+            timestamps=np.arange(40) / 30.0,
+            positions=np.concatenate([once.positions, once.positions[::-1]]),
+            quaternions=np.concatenate([once.quaternions, once.quaternions[::-1]]))
+        _, counts = observe_block(scene, CAMERA, traj.positions, traj.quaternions)
+        sent = np.flatnonzero(counts >= MIN_FEATURES_FOR_POSE)
+        half = len(sent) // 2
+        for part in (sent[:half], sent[half:]):
+            assert (counts[part[0]:part[-1]] < MIN_FEATURES_FOR_POSE).any()
+        estimate = assert_links_cannot_move_a_bit(monkeypatch, scene, traj, 2, ber, 42)
+        assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, 2, ber, 42))
 
 
 class TestPipeline:
