@@ -10,6 +10,15 @@ subcarrier (Larsson, "MIMO detection methods: how they work", IEEE SPM
 26(3), 2009).  Q has orthonormal columns, so cond(H) = cond(R),
 (H^H H)^-1 = R^-1 R^-H, and the equaliser output is W y = x + R^-1 Q^H n,
 where Q^H n is white noise of the antenna noise variance in K dimensions.
+
+Each SNR point of the Monte Carlo draws from its own stream, so the points
+run on two threads, the calling thread taking the first half and one
+worker the second (``parallel.in_two_halves``); numpy's draws, ufuncs and
+matmul release the GIL, and the points are joined in SNR order.  A chunk's
+labels are drawn in one call and its noise one slice of subcarriers at a
+time, in subcarrier order: float64 normal draws keep no state between
+calls, so the slices are the chunk's one draw, and each thread's working
+set stays small.
 """
 
 from __future__ import annotations
@@ -20,13 +29,18 @@ import numpy as np
 
 from .exceptions import ChannelFileError, ConfigurationError, SingularChannelError
 from .modem import QamConstellation
+from .parallel import in_two_halves
 from .seeding import as_generator, generator
 
 CHANNEL_FILE_MAGIC = b"XMCH"
 CHANNEL_HEADER_BYTES = 16
 CONDITION_LIMIT = 1e12
-# User-domain symbols simulated at once by ``ber_curve``.
+# User-domain symbols simulated at once by ``ber_curve``: a chunk's labels
+# are drawn in one call, and its noise is drawn, coloured and decided one
+# slice of subcarriers at a time.  malloc keeps what a worker thread frees,
+# so the slices keep each thread's working set, and the peak RSS, small.
 CHUNK_USER_SYMBOLS = 200_000
+SLICE_USER_SYMBOLS = CHUNK_USER_SYMBOLS // 16
 
 
 @dataclass
@@ -214,8 +228,12 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
     zero-forcing output x + R^-1 Q^H n is simulated directly: Q^H n is
     K-dimensional white noise, so K noise samples are drawn per symbol
     time instead of M.  Ill-conditioned subcarriers are
-    skipped and counted.  Deterministic given ``seed``.  A chunk holds
-    about ``CHUNK_USER_SYMBOLS`` user-domain symbols.
+    skipped and counted.  Deterministic given ``seed``: point i draws from
+    ``generator(seed, i)`` alone, so with two or more points and two usable
+    CPUs the second half of the points runs on a worker thread and the
+    result is the same.  A chunk holds about ``CHUNK_USER_SYMBOLS``
+    user-domain symbols; its labels are drawn at once, then its noise is
+    drawn, coloured and decided in slices of about ``SLICE_USER_SYMBOLS``.
     """
     snr_points_db = [float(s) for s in snr_points_db]
     if not snr_points_db:
@@ -237,25 +255,38 @@ def ber_curve(channel: ChannelMatrix, snr_points_db, bits_per_point: int, seed,
     n_uses = -(-bits_per_point // bits_per_use)
     chunk_symbols = max(1, CHUNK_USER_SYMBOLS // (n_sub * n_users))
 
-    points = []
-    for idx, snr_db in enumerate(snr_points_db):
-        rng = generator(seed, idx)
-        gamma = 10.0 ** (snr_db / 10.0)
-        # Row k of R^-1 divided by user k's power-controlled amplitude
-        # sqrt(gamma * gain_k), and by sqrt(2) because the noise below has
-        # unit variance per real dimension.
-        colour = r_inv / np.sqrt(2.0 * gamma * noise_gain)[:, :, None]
-        n_errors = 0
-        n_bits = 0
-        remaining = n_uses
-        while remaining > 0:
-            n_sym = min(chunk_symbols, remaining)
-            remaining -= n_sym
-            labels = rng.integers(0, const.order, size=(n_sub, n_users, n_sym), dtype=np.uint8)
-            noise = rng.standard_normal((n_sub, n_users, 2 * n_sym)).view(complex)
-            equalised = const.points[labels] + colour @ noise
-            n_errors += int(np.bitwise_count(labels ^ const.decide(equalised)).sum())
-            n_bits += labels.size * const.bits_per_symbol
-        points.append(BerPoint(snr_db=snr_db, ber=n_errors / n_bits,
-                               n_bits=n_bits, n_errors=n_errors))
+    def simulate(indexed_points):
+        return [_ber_point(generator(seed, idx), snr_db, r_inv, noise_gain, const, n_uses,
+                           chunk_symbols) for idx, snr_db in indexed_points]
+
+    points = in_two_halves(simulate, list(enumerate(snr_points_db)),
+                           split=len(snr_points_db) >= 2)
     return BerCurve(points=tuple(points), n_singular_subcarriers=n_singular)
+
+
+def _ber_point(rng, snr_db, r_inv, noise_gain, const, n_uses, chunk_symbols) -> BerPoint:
+    """One SNR point of ``ber_curve``, drawn from ``rng`` alone."""
+    n_sub, n_users = noise_gain.shape
+    gamma = 10.0 ** (snr_db / 10.0)
+    # The noise is coloured by row k of R^-1 divided by user k's
+    # power-controlled amplitude sqrt(gamma * gain_k), and by sqrt(2)
+    # because it has unit variance per real dimension.
+    amplitude = np.sqrt(2.0 * gamma * noise_gain)[:, :, None]
+    n_errors = 0
+    n_bits = 0
+    remaining = n_uses
+    while remaining > 0:
+        n_sym = min(chunk_symbols, remaining)
+        remaining -= n_sym
+        labels = rng.integers(0, const.order, size=(n_sub, n_users, n_sym), dtype=np.uint8)
+        # float64 ``standard_normal`` keeps no state between calls, so
+        # slices drawn in subcarrier order are the chunk's one draw.
+        step = max(1, SLICE_USER_SYMBOLS // (n_users * n_sym))
+        for lo in range(0, n_sub, step):
+            sent = labels[lo:lo + step]
+            noise = rng.standard_normal((*sent.shape[:2], 2 * n_sym)).view(complex)
+            colour = r_inv[lo:lo + step] / amplitude[lo:lo + step]
+            equalised = const.points[sent] + colour @ noise
+            n_errors += int(np.bitwise_count(sent ^ const.decide(equalised)).sum())
+        n_bits += labels.size * const.bits_per_symbol
+    return BerPoint(snr_db=snr_db, ber=n_errors / n_bits, n_bits=n_bits, n_errors=n_errors)

@@ -19,11 +19,10 @@ bit-identical to running those stages on that frame alone.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..biterrors import corrupt_in_place
+from ..parallel import in_two_halves
 from ..seeding import seed_sequence
 from .camera import CameraModel
 from .features import MIN_FEATURES_FOR_POSE, concatenate_records, observe_block
@@ -87,17 +86,9 @@ def _run_block(scene, camera, positions, quaternions, scenario, ber, streams):
     encoder = FrameEncoder(features, counts, scenario, camera)
     # A frame with too few features is not sent, and receives no records.
     sent = np.flatnonzero(counts >= MIN_FEATURES_FOR_POSE)
-    if 8 * encoder.n_bytes * ber >= PARALLEL_LINK_FLIPS and _usable_cpus() >= 2:
-        # Imported here, so that ``import xrmimo`` does not pay for it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        half = len(sent) // 2
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            second = pool.submit(_link, encoder, sent[half:], ber, streams, scenario, camera)
-            received = _link(encoder, sent[:half], ber, streams, scenario, camera)
-            received += second.result()
-    else:
-        received = _link(encoder, sent, ber, streams, scenario, camera)
+    received = in_two_halves(
+        lambda frames: _link(encoder, frames, ber, streams, scenario, camera), sent,
+        split=8 * encoder.n_bytes * ber >= PARALLEL_LINK_FLIPS)
     n_received = np.zeros(len(counts), dtype=np.intp)
     n_received[sent] = [len(records) for records, _ in received]
     matches = np.zeros(0, dtype=MATCH_DTYPE)
@@ -124,10 +115,3 @@ def _link(encoder, frames, ber, streams, scenario, camera):
         corrupt_in_place(wire, ber, np.random.default_rng(streams[i]))
         received.append(read_slots(wire, scenario, camera))
     return received
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

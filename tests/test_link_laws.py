@@ -36,7 +36,8 @@ NEAR_BITS = 24
 
 
 def link_counts(scenario, ber):
-    """Per frame: empty slots, phantoms, still-valid sent records, and those matched correctly."""
+    """Per frame: empty slots, phantoms, still-valid sent records, those matched correctly,
+    sent records, those the receiver lost, bits flipped in the slot bytes, and slot bits."""
     traj = generate_trajectory(N_FRAMES[scenario], rng=seed_sequence(23, 1, scenario))
     features, counts = observe_block(SCENE, CAMERA, traj.positions, traj.quaternions)
     own = landmark_ids(SCENE, features)
@@ -48,17 +49,26 @@ def link_counts(scenario, ber):
     rows = []
     for i, n_sent in enumerate(counts):
         encoder.write(wire, i)
+        sent = _slots(wire, dtype, stride).copy()
+        assert (sent["valid"][:n_sent] == 1).all()
         corrupt_in_place(wire, ber, rng)
+        flips = int(np.bitwise_count(sent.view(np.uint8)
+                                     ^ _slots(wire, dtype, stride).copy().view(np.uint8)).sum())
         # Sent records fill the first slots, so the receiver's records come
         # in slot order: the surviving sent records first, then phantoms.
         kept = np.flatnonzero(_slots(wire, dtype, stride)["valid"][:n_sent] != 0)
         records, depth = read_slots(wire, scenario, CAMERA)
+        # The receiver's count of sent records it keeps, from the wire with
+        # every empty slot cleared.
+        sent_only = wire.copy()
+        _slots(sent_only, dtype, stride)[n_sent:] = 0
+        n_kept = len(read_slots(sent_only, scenario, CAMERA)[0])
         matches = match_features(decode_records(records, depth, CAMERA), SCENE)
         own_kept = own[starts[i] + kept]
         sent_matches = matches[matches["feature"] < kept.size]
         matched = (sent_matches["landmark"] == own_kept[sent_matches["feature"]]).sum()
         rows.append((MAX_FEATURES_PER_FRAME - n_sent, len(records) - kept.size,
-                     kept.size, matched))
+                     kept.size, matched, n_sent, n_sent - n_kept, flips, 8 * sent.nbytes))
     return np.array(rows)
 
 
@@ -73,14 +83,36 @@ def counts(request):
     return ber, link_counts(scenario, ber)
 
 
+def binomial_z(count, n, q):
+    """Standard errors between ``count`` and the mean of Binomial(n, q)."""
+    return (count - n * q) / math.sqrt(n * q * (1.0 - q))
+
+
 def test_phantoms_per_frame_are_binomial(counts):
     # An empty slot is all zeros, so it decodes as valid iff any bit of its
     # ``valid`` byte flips.
     ber, rows = counts
     n_empty, phantoms = rows[:, 0].sum(), rows[:, 1].sum()
-    q = 1.0 - (1.0 - ber) ** 8
-    z = (phantoms - n_empty * q) / math.sqrt(n_empty * q * (1.0 - q))
-    assert abs(z) <= 4.0, (phantoms, n_empty * q, z)
+    z = binomial_z(phantoms, n_empty, 1.0 - (1.0 - ber) ** 8)
+    assert abs(z) <= 4.0, (phantoms, n_empty, z)
+
+
+def test_lost_records_per_frame_are_binomial(counts):
+    # A sent record's ``valid`` byte is 1, so it decodes as 0, and the
+    # record is lost, iff its lowest bit flips and no other bit does.
+    ber, rows = counts
+    n_sent, lost = rows[:, 4].sum(), rows[:, 5].sum()
+    z = binomial_z(lost, n_sent, ber * (1.0 - ber) ** 7)
+    assert abs(z) <= 4.0, (lost, n_sent, z)
+
+
+def test_slot_byte_flips_are_binomial(counts):
+    # Flips fall on distinct uniform bits of the wire, so the slot bytes,
+    # wherever they sit in it, take Binomial(8 |slots|, p) flips a frame.
+    ber, rows = counts
+    flips, n_bits = rows[:, 6].sum(), rows[:, 7].sum()
+    z = binomial_z(flips, n_bits, ber)
+    assert abs(z) <= 4.0, (flips, n_bits, z)
 
 
 def test_near_records_match_their_own_landmark(counts):

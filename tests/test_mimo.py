@@ -1,12 +1,17 @@
 """Channel generation/replay, zero-forcing, power control, and BER sweep tests."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import xrmimo.mimo as mimo_module
+import xrmimo.parallel as parallel_module
 from xrmimo.exceptions import ChannelFileError, ConfigurationError, SingularChannelError
 from xrmimo.mimo import (
     CHUNK_USER_SYMBOLS,
     CONDITION_LIMIT,
+    SLICE_USER_SYMBOLS,
     ChannelMatrix,
     ber_curve,
     channel_condition,
@@ -321,3 +326,75 @@ class TestBerCurve:
         point = curve.points[0]
         assert point.n_errors >= 50
         assert 0.5e-5 <= point.ber <= 2e-5
+
+
+BER_POINT = mimo_module._ber_point
+
+
+def curve_on_cpus(monkeypatch, cpus, channel, snr_points_db, bits_per_point, order):
+    """``ber_curve`` with the usable CPU count set, and the thread that ran each SNR point."""
+    threads = []
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(mimo_module, "_ber_point",
+                        lambda *a: threads.append(threading.get_ident()) or BER_POINT(*a))
+    curve = ber_curve(channel, snr_points_db, bits_per_point, seed=43,
+                      constellation=QamConstellation(order))
+    return curve, threads
+
+
+def assert_threads_cannot_move_a_bit(monkeypatch, gains, snr_points_db, bits_per_point,
+                                     order=16):
+    """1 CPU, then 2: the same points in SNR order, and a worker thread only on 2 CPUs."""
+    main, n = threading.get_ident(), len(snr_points_db)
+    args = (ChannelMatrix(gains), snr_points_db, bits_per_point, order)
+    reference, threads = curve_on_cpus(monkeypatch, 1, *args)
+    assert threads == [main] * n
+    curve, threads = curve_on_cpus(monkeypatch, 2, *args)
+    assert curve == reference
+    assert [p.snr_db for p in curve] == snr_points_db
+    # The calling thread runs the first half of the points and one worker the rest.
+    assert len(threads) == n and threads.count(main) == max(n // 2, 1)
+    assert len(set(threads)) == min(n, 2)
+    return curve
+
+
+def uses_and_chunk(n_sub, n_users, bits_per_point, order):
+    """Symbol times per point, and per chunk, of ``ber_curve`` on ``n_sub`` usable subcarriers."""
+    bits_per_use = n_sub * n_users * QamConstellation(order).bits_per_symbol
+    return -(-bits_per_point // bits_per_use), max(1, CHUNK_USER_SYMBOLS // (n_sub * n_users))
+
+
+class TestBerThreads:
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 4, 5])
+    def test_points_split_in_halves(self, monkeypatch, n_points):
+        gains = generate_channel(16, 4, 24, rng=40).gains
+        snr_points_db = [0.0, 4.0, 8.0, 12.0, 16.0][:n_points]
+        assert_threads_cannot_move_a_bit(monkeypatch, gains, snr_points_db, 40_000)
+
+    def test_singular_subcarriers_skipped(self, monkeypatch):
+        gains = generate_channel(32, 8, 50, rng=44).gains.copy()
+        for i, sub in enumerate([0, 3, 17, 18, 49]):
+            gains[sub, :, 7 - i] = gains[sub, :, i]
+        curve = assert_threads_cannot_move_a_bit(monkeypatch, gains, [6.0, 9.0, 12.0], 100_000)
+        assert curve.n_singular_subcarriers == 5
+
+    def test_uses_not_a_multiple_of_the_chunk(self, monkeypatch):
+        gains = generate_channel(16, 4, 500, rng=45).gains
+        n_uses, chunk = uses_and_chunk(500, 4, 1_000_000, 4)
+        assert n_uses > chunk and n_uses % chunk
+        assert_threads_cannot_move_a_bit(monkeypatch, gains, [2.0, 5.0, 8.0], 1_000_000, order=4)
+
+    def test_subcarriers_not_a_multiple_of_the_slice(self, monkeypatch):
+        gains = generate_channel(16, 4, 100, rng=46).gains
+        n_uses, chunk = uses_and_chunk(100, 4, 96_000, 16)
+        step = SLICE_USER_SYMBOLS // (4 * n_uses)
+        assert n_uses <= chunk and step < 100 and 100 % step
+        assert_threads_cannot_move_a_bit(monkeypatch, gains, [4.0, 8.0, 12.0], 96_000)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_modulation_orders(self, monkeypatch, order):
+        gains = generate_channel(16, 4, 24, rng=31).gains.copy()
+        gains[5, :, 3] = gains[5, :, 0]
+        curve = assert_threads_cannot_move_a_bit(monkeypatch, gains, [0.0, 5.0, 10.0], 60_000,
+                                                 order=order)
+        assert curve.n_singular_subcarriers == 1

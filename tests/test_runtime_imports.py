@@ -59,8 +59,9 @@ def test_import_leaves_yaml_unloaded():
 
 
 def test_import_leaves_thread_pool_unloaded():
-    # ``run_pipeline`` imports ``concurrent.futures`` only when a block's link
-    # stage runs on two threads.
+    # ``parallel.in_two_halves`` imports ``concurrent.futures`` only when it
+    # splits: for ``run_pipeline``'s link stage of a block, or for
+    # ``ber_curve``'s SNR points.
     loaded = loaded_packages(ACTIONS["import xrmimo"]
                              + "\nassert 'concurrent.futures' not in sys.modules")
     assert "xrmimo" in loaded

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import xrmimo.parallel as parallel_module
 import xrmimo.sandbox.pipeline as pipeline_module
 from test_sandbox_scene import landmark_ids
 from xrmimo.biterrors import corrupt
@@ -362,7 +363,7 @@ def run_with_gate(monkeypatch, flips, cpus, *args, **kwargs):
     """
     threads, received = [], []
     monkeypatch.setattr(pipeline_module, "PARALLEL_LINK_FLIPS", flips)
-    monkeypatch.setattr(pipeline_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(pipeline_module, "_link",
                         lambda *a: threads.append(threading.get_ident()) or LINK(*a))
     monkeypatch.setattr(pipeline_module, "match_features",
