@@ -11,6 +11,13 @@ subcarrier (Larsson, "MIMO detection methods: how they work", IEEE SPM
 (H^H H)^-1 = R^-1 R^-H, and the equaliser output is W y = x + R^-1 Q^H n,
 where Q^H n is white noise of the antenna noise variance in K dimensions.
 
+The uplink's memory scales with the channel, not with its temporaries.
+``generate_channel`` fills one complex array in place, all real parts and
+then all imaginary parts, from normal draws taken ``DRAW_SLICE`` floats at
+a time.  ``_zf_factor`` factors a stack about 1 MB of copy at a time
+(``FACTOR_CHUNK_ENTRIES``), the chunks split over two threads as below and
+written into the preallocated results.
+
 Each SNR point of the Monte Carlo draws from its own stream, so the points
 run on two threads, the calling thread taking the first half and one
 worker the second (``parallel.in_two_halves``); numpy's draws, ufuncs and
@@ -41,6 +48,10 @@ CONDITION_LIMIT = 1e12
 # so the slices keep each thread's working set, and the peak RSS, small.
 CHUNK_USER_SYMBOLS = 200_000
 SLICE_USER_SYMBOLS = CHUNK_USER_SYMBOLS // 16
+# float64 normal draws taken at once by ``generate_channel``.
+DRAW_SLICE = 1 << 16
+# Channel entries factored at once by ``_zf_factor``: about 1 MB of copy.
+FACTOR_CHUNK_ENTRIES = (1 << 20) // np.dtype(complex).itemsize
 
 
 @dataclass
@@ -75,7 +86,13 @@ class ChannelMatrix:
 
 def generate_channel(n_antennas: int, n_users: int, n_subcarriers: int = 1,
                      rng=0) -> ChannelMatrix:
-    """Synthetic i.i.d. Rayleigh channel: unit-variance circularly-symmetric Gaussian gains."""
+    """Synthetic i.i.d. Rayleigh channel: unit-variance circularly-symmetric Gaussian gains.
+
+    The gains are built in place: all real parts, then all imaginary parts,
+    each from ``standard_normal`` drawn ``DRAW_SLICE`` floats at a time, then
+    divided by sqrt(2).  float64 normal draws keep no state between calls,
+    so the slices are one draw of the whole shape per part.
+    """
     if not n_antennas > n_users >= 1:
         raise ConfigurationError(
             f"need antennas > users >= 1, got M={n_antennas}, K={n_users}"
@@ -84,7 +101,13 @@ def generate_channel(n_antennas: int, n_users: int, n_subcarriers: int = 1,
         raise ConfigurationError("n_subcarriers must be >= 1")
     gen = as_generator(rng)
     shape = (n_subcarriers, n_antennas, n_users)
-    gains = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+    gains = np.empty(shape, dtype=complex)
+    flat = gains.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, DRAW_SLICE):
+            n = min(DRAW_SLICE, flat.size - lo)
+            part[lo:lo + n] = gen.standard_normal(n)
+    gains /= np.sqrt(2.0)
     return ChannelMatrix(gains)
 
 
@@ -92,10 +115,9 @@ def save_channel(channel: ChannelMatrix, path) -> None:
     """Write the binary channel format (magic, u32 M/K/F, float32 pairs)."""
     f, m, k = channel.gains.shape
     header = CHANNEL_FILE_MAGIC + np.array([m, k, f], dtype="<u4").tobytes()
-    body = channel.gains.astype("<c8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(channel.gains.astype("<c8"))
 
 
 def load_channel(path) -> ChannelMatrix:
@@ -124,8 +146,8 @@ def load_channel(path) -> ChannelMatrix:
         raise ChannelFileError(
             f"non-finite channel entry in {path}", offset=CHANNEL_HEADER_BYTES + 4 * bad
         )
-    gains = (floats[0::2] + 1j * floats[1::2]).astype(complex).reshape(f, m, k)
-    return ChannelMatrix(gains)
+    # The float32 (real, imaginary) pairs widen straight into complex128 gains.
+    return ChannelMatrix(floats.astype(float).view(complex).reshape(f, m, k))
 
 
 def concat_channels(channels) -> ChannelMatrix:
@@ -148,10 +170,38 @@ def load_channels(paths) -> ChannelMatrix:
 def _zf_factor(h):
     """Condition numbers and R^-1 of (..., M, K) channels, from H = QR.
 
+    The stack is factored ``FACTOR_CHUNK_ENTRIES`` channel entries (about
+    1 MB) of subcarriers at a time, each chunk by ``_factor_chunk`` into the
+    preallocated results, and the chunks split over two threads
+    (``parallel.in_two_halves``); each matrix is factored alone, so the
+    results do not depend on the chunking.  A 2-D (M, K) input is one
+    matrix.
+    """
+    h = np.asarray(h, dtype=complex)
+    *lead, m, k = h.shape
+    stack = h.reshape(-1, m, k)
+    cond = np.empty(len(stack))
+    r_inv = np.empty((len(stack), k, k), dtype=complex)
+    step = max(1, FACTOR_CHUNK_ENTRIES // (m * k))
+
+    def factor(starts):
+        # The results land in ``cond`` and ``r_inv``; each chunk writes its own rows.
+        for lo in starts:
+            cond[lo:lo + step], r_inv[lo:lo + step] = _factor_chunk(stack[lo:lo + step])
+        return starts
+
+    starts = list(range(0, len(stack), step))
+    in_two_halves(factor, starts, split=len(starts) >= 2)
+    return cond.reshape(lead), r_inv.reshape(*lead, k, k)
+
+
+def _factor_chunk(h):
+    """``_zf_factor`` of one (n, M, K) chunk.
+
     The SVD of the K x K factor R = U S V^H gives both cond(R) = cond(H)
     and R^-1 = V S^-1 U^H; R^-1 is not finite where R is singular.
     """
-    r = np.linalg.qr(np.asarray(h, dtype=complex), mode="r")
+    r = np.linalg.qr(h, mode="r")
     u, s, vh = np.linalg.svd(r)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(s[..., -1] > 0, s[..., 0] / s[..., -1], np.inf)

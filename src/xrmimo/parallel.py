@@ -2,7 +2,8 @@
 
 numpy's generators, ufuncs, fancy indexing and matmul run without holding
 the GIL, so two threads overlap on work made of them.  ``run_pipeline``'s
-link stage and ``ber_curve``'s SNR points both split this way.
+link stage, ``ber_curve``'s SNR points and the zero-forcing factorisation's
+subcarrier chunks split this way.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Channel generation/replay, zero-forcing, power control, and BER sweep tests."""
 
+import copy
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from xrmimo.exceptions import ChannelFileError, ConfigurationError, SingularChan
 from xrmimo.mimo import (
     CHUNK_USER_SYMBOLS,
     CONDITION_LIMIT,
+    DRAW_SLICE,
+    FACTOR_CHUNK_ENTRIES,
     SLICE_USER_SYMBOLS,
     ChannelMatrix,
     ber_curve,
@@ -96,6 +100,23 @@ class TestGenerateChannel:
         with pytest.raises(ConfigurationError):
             generate_channel(1, 2, 1)
 
+    @pytest.mark.parametrize("shape", [(100, 10, 1200), (2, 1, 1), (8, 3, 5),
+                                       (7, 3, DRAW_SLICE // 21 + 5)])
+    def test_same_bits_as_one_expression(self, shape):
+        """The in-place build gives the bits of ``(a + 1j*b) / sqrt(2)`` on one draw each."""
+        n_antennas, n_users, n_subcarriers = shape
+        rng = np.random.default_rng(sum(shape))
+        oracle_rng = copy.deepcopy(rng)
+        dims = (n_subcarriers, n_antennas, n_users)
+        expected = (oracle_rng.standard_normal(dims)
+                    + 1j * oracle_rng.standard_normal(dims)) / np.sqrt(2.0)
+        if shape[-1] > 5:
+            assert expected.size * 2 % DRAW_SLICE
+        gains = generate_channel(*shape, rng=rng).gains
+        assert gains.shape == dims and gains.tobytes() == expected.tobytes()
+        # The caller's generator advanced by exactly the two draws.
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
 
 class TestChannelFiles:
     def test_round_trip(self, tmp_path):
@@ -105,6 +126,24 @@ class TestChannelFiles:
         loaded = load_channel(path)
         assert loaded.gains.shape == (5, 8, 3)
         assert np.allclose(loaded.gains, ch.gains, atol=1e-6)
+        # Exact up to the file's float32 rounding.
+        assert loaded.gains.tobytes() == ch.gains.astype("<c8").astype(complex).tobytes()
+
+    def test_file_bytes_are_complex64_pairs(self, tmp_path):
+        ch = generate_channel(8, 3, 5, rng=6)
+        path = tmp_path / "ch.xmch"
+        save_channel(ch, path)
+        header = b"XMCH" + np.array([8, 3, 5], dtype="<u4").tobytes()
+        assert path.read_bytes() == header + ch.gains.astype("<c8").tobytes()
+
+    def test_signed_zeros_kept(self, tmp_path):
+        gains = generate_channel(4, 2, 3, rng=9).gains.copy()
+        gains[0, :, 0] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                          complex(0.0, 0.0)]
+        path = tmp_path / "zeros.xmch"
+        save_channel(ChannelMatrix(gains), path)
+        parts = load_channel(path).gains.view(float)
+        assert np.array_equal(np.signbit(parts), np.signbit(gains.view(float)))
 
     def test_ten_single_user_files_concatenate(self, tmp_path):
         paths = []
@@ -223,6 +262,126 @@ class TestQrIdentities:
 
     def test_two_antenna_single_user_gain(self):
         assert zf_noise_gain(np.ones((2, 1), dtype=complex)) == pytest.approx([0.5])
+
+
+def one_call_factor(h):
+    """Reference: ``_zf_factor``'s QR, SVD and inverse on the whole stack in one call."""
+    r = np.linalg.qr(np.asarray(h, dtype=complex), mode="r")
+    u, s, vh = np.linalg.svd(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[..., -1] > 0, s[..., 0] / s[..., -1], np.inf)
+        r_inv = (np.conjugate(np.swapaxes(vh, -1, -2)) / s[..., None, :]) @ np.conjugate(
+            np.swapaxes(u, -1, -2))
+    return cond, r_inv
+
+
+FACTOR_CHUNK = mimo_module._factor_chunk
+FACTOR_ANTENNAS, FACTOR_USERS = 32, 8
+CHUNK_SUBCARRIERS = FACTOR_CHUNK_ENTRIES // (FACTOR_ANTENNAS * FACTOR_USERS)
+
+
+def factor_on_cpus(monkeypatch, cpus, h):
+    """``_zf_factor`` with the usable CPU count set, and the (thread, size) of each chunk.
+
+    The chunks are listed in stack order, by where their data starts.
+    """
+    chunks = []
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(mimo_module, "_factor_chunk",
+                        lambda c: chunks.append((c.ctypes.data, threading.get_ident(), len(c)))
+                        or FACTOR_CHUNK(c))
+    result = mimo_module._zf_factor(h)
+    return result, [(thread, size) for _, thread, size in sorted(chunks)]
+
+
+def assert_chunks_cannot_move_a_bit(monkeypatch, h):
+    """1 CPU, then 2: the one-call bits, and a worker thread on the second half of the chunks."""
+    main = threading.get_ident()
+    n_sub = int(np.prod(h.shape[:-2]))
+    n_chunks = -(-n_sub // CHUNK_SUBCARRIERS)
+    expected_cond, expected_r_inv = one_call_factor(h)
+    for cpus in (1, 2):
+        (cond, r_inv), chunks = factor_on_cpus(monkeypatch, cpus, h)
+        assert cond.tobytes() == expected_cond.tobytes()
+        assert r_inv.tobytes() == expected_r_inv.tobytes()
+        assert cond.shape == expected_cond.shape and r_inv.shape == expected_r_inv.shape
+        assert sum(size for _, size in chunks) == n_sub
+        assert all(size == CHUNK_SUBCARRIERS for _, size in chunks[:-1])
+        threads = [thread for thread, _ in chunks]
+        assert len(threads) == n_chunks
+        if cpus == 1 or n_chunks == 1:
+            assert threads == [main] * n_chunks
+        else:
+            assert threads[:n_chunks // 2] == [main] * (n_chunks // 2)
+            assert len(set(threads[n_chunks // 2:])) == 1 and main not in threads[n_chunks // 2:]
+    return expected_cond
+
+
+class TestFactorThreads:
+    @pytest.mark.parametrize("n_sub", [1, CHUNK_SUBCARRIERS - 1, CHUNK_SUBCARRIERS,
+                                       CHUNK_SUBCARRIERS + 1, 3 * CHUNK_SUBCARRIERS + 5])
+    def test_chunked_equals_one_call(self, monkeypatch, n_sub):
+        gains = generate_channel(FACTOR_ANTENNAS, FACTOR_USERS, n_sub, rng=n_sub).gains
+        assert_chunks_cannot_move_a_bit(monkeypatch, gains)
+
+    def test_singular_subcarriers_in_both_halves(self, monkeypatch):
+        n_sub = 3 * CHUNK_SUBCARRIERS + 5
+        gains = generate_channel(FACTOR_ANTENNAS, FACTOR_USERS, n_sub, rng=47).gains.copy()
+        singular = [0, CHUNK_SUBCARRIERS + 3, 2 * CHUNK_SUBCARRIERS + 1, n_sub - 1]
+        for sub in singular:
+            gains[sub, :, 5] = gains[sub, :, 2]
+        gains[CHUNK_SUBCARRIERS - 1] = 0.0
+        cond = assert_chunks_cannot_move_a_bit(monkeypatch, gains)
+        assert np.flatnonzero(cond > CONDITION_LIMIT).tolist() == sorted(
+            singular + [CHUNK_SUBCARRIERS - 1])
+
+    def test_stack_of_stacks(self, monkeypatch):
+        gains = generate_channel(FACTOR_ANTENNAS, FACTOR_USERS, 2 * CHUNK_SUBCARRIERS + 6,
+                                 rng=48).gains
+        assert_chunks_cannot_move_a_bit(monkeypatch, gains.reshape(2, -1, *gains.shape[1:]))
+
+    def test_one_matrix_is_one_chunk(self, monkeypatch):
+        """A 2-D input is never split along its antennas, even above the chunk size."""
+        rng = np.random.default_rng(49)
+        h = rng.standard_normal((400, 200)) + 1j * rng.standard_normal((400, 200))
+        assert h.size > FACTOR_CHUNK_ENTRIES
+        expected_cond, expected_r_inv = one_call_factor(h)
+        for cpus in (1, 2):
+            (cond, r_inv), chunks = factor_on_cpus(monkeypatch, cpus, h)
+            assert chunks == [(threading.get_ident(), 1)]
+            assert cond.shape == () and r_inv.shape == (200, 200)
+            assert cond.tobytes() == expected_cond.tobytes()
+            assert r_inv.tobytes() == expected_r_inv.tobytes()
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it held at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationBounds:
+    """Peaks of traced allocations, the result included: the temporaries stay small."""
+
+    def test_generate_channel(self):
+        channel, peak = traced_peak(generate_channel, 100, 10, 1200, 0)
+        assert peak <= 1.15 * channel.gains.nbytes
+
+    def test_zf_factor(self):
+        gains = generate_channel(100, 10, 1200, rng=0).gains
+        # Warm up first, so that the thread pool's lazy import is not counted.
+        mimo_module._zf_factor(gains[:130])
+        _, peak = traced_peak(mimo_module._zf_factor, gains)
+        assert peak <= 0.25 * gains.nbytes
+
+    def test_load_channel(self, tmp_path):
+        path = tmp_path / "ch.xmch"
+        save_channel(generate_channel(100, 10, 1200, rng=0), path)
+        channel, peak = traced_peak(load_channel, path)
+        assert peak <= 1.75 * channel.gains.nbytes
 
 
 class TestBerCurve:
