@@ -2,7 +2,8 @@
 
 Configs are YAML (JSON is a subset) with nested sections.  ``SCHEMA``
 writes every setting once, with its check and its default, and one walk
-(``_resolve``) validates a fragment and fills in the defaults.  Unknown
+(``_resolve``) validates a fragment and fills in the defaults; the values
+that repeat the radio's description are derived (``build_config``).  Unknown
 keys raise with their dotted path so sweep typos fail loudly.  Scalar
 settings deep-merge over the defaults; the ``frame_structures`` and
 ``scenarios`` tables are replaced wholesale when present, which is how a
@@ -15,14 +16,14 @@ import copy
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ChannelFileError, ConfigurationError
 from .frames import (
-    BITS_PER_QAM_SYMBOL,
     POSE_RECORD_BITS,
     ExecKind,
     ExecTimeModel,
@@ -31,6 +32,7 @@ from .frames import (
     SymbolRole,
 )
 from .linkbudget import LinkBudgetConfig
+from .mimo import parse_channel_header
 from .modem import VALID_QAM_ORDERS, qam_ber_exact
 from .scenarios import SCENARIO_IDS, SCENARIO_UL_BITS
 
@@ -165,7 +167,6 @@ def _table(entry, what: str):
 _FRAME_STRUCTURE = {
     "layout": (_layout, None),  # no default: a structure must give its layout
     "n_subcarriers": (_int(minimum=1), 1200),
-    "bits_per_qam_symbol": (_int(choices=BITS_PER_QAM_SYMBOL), 6),
     "tau_symb": (_float(above=0.0), 71.4e-6),
 }
 
@@ -195,7 +196,6 @@ def _constant_exec(value: float) -> dict:
     return {"kind": ExecKind.CONSTANT.value, "value": value}
 
 
-_QAM_ORDER = _int(choices=VALID_QAM_ORDERS)
 _BUDGET = LinkBudgetConfig()  # the link-budget defaults live on the dataclass
 
 # Every setting once.  A section is a nested mapping; a leaf is
@@ -235,7 +235,7 @@ SCHEMA = {
     "ber": {
         "snr_grid_db": (_grid(), [10.0, 15.0, 20.0, 24.32]),
         "bits_per_point": (_int(minimum=1), 10_000_000),
-        "modulation_order": (_QAM_ORDER, 64),
+        "modulation_order": (_int(choices=VALID_QAM_ORDERS), 64),
         "channel": {
             "source": (_str(("synthetic", "files")), "synthetic"),
             "antennas": (_int(minimum=2), 100),
@@ -246,7 +246,6 @@ SCHEMA = {
     },
     "power": {
         "ber_targets": (_grid(above=0.0, below=0.5), [1e-4, 1e-5]),
-        "modulation_order": (_QAM_ORDER, 64),
         "mode": (_str(("analytic", "simulated")), "analytic"),
         "link_budget": {
             "carrier_hz": (_float(above=0.0), _BUDGET.carrier_hz),
@@ -255,8 +254,6 @@ SCHEMA = {
             "temperature_k": (_float(above=0.0), _BUDGET.temperature_k),
             "noise_figure_db": (_float(), _BUDGET.noise_figure_db),
             "fading_margin_db": (_float(), _BUDGET.fading_margin_db),
-            "antennas": (_int(minimum=1), _BUDGET.antennas),
-            "users": (_int(minimum=1), _BUDGET.users),
             "array_gain_db": (_optional(_float()), _BUDGET.array_gain_db),
         },
     },
@@ -278,9 +275,12 @@ def _resolve(schema: dict, raw, path: str) -> dict:
     return out
 
 
-def config_hash(resolved: dict) -> str:
-    """Hash of the settings that shape results; where they are written is left out."""
+def config_hash(resolved: dict, channel_sha256=()) -> str:
+    """Hash of the settings that shape results, channel files by content, not output_dir."""
     settings = {key: value for key, value in resolved.items() if key != "output_dir"}
+    if channel_sha256:
+        ber = settings["ber"]
+        settings["ber"] = {**ber, "channel": {**ber["channel"], "paths": list(channel_sha256)}}
     canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
 
@@ -290,6 +290,7 @@ class ExperimentConfig:
     """Validated, fully resolved experiment configuration."""
 
     resolved: dict
+    channel_sha256: tuple = ()
 
     @property
     def seed(self) -> int:
@@ -301,7 +302,7 @@ class ExperimentConfig:
 
     @property
     def hash(self) -> str:
-        return config_hash(self.resolved)
+        return config_hash(self.resolved, self.channel_sha256)
 
     def frame_structures(self) -> dict:
         return {name: FrameStructure(name=name, **entry)
@@ -336,29 +337,51 @@ class ExperimentConfig:
 
 
 def build_config(fragment: dict | None = None) -> ExperimentConfig:
-    """Validate a config fragment and resolve it over the defaults."""
+    """Validate a config fragment and resolve it over the defaults.
+
+    ``ber.modulation_order`` and ``ber.channel`` describe the radio; the
+    frame, power and link-budget settings derived from them are written in.
+    """
     resolved = _resolve(SCHEMA, fragment or {}, "<config>")
-    chan = resolved["ber"]["channel"]
-    if chan["source"] == "synthetic":
-        if chan["antennas"] <= chan["users"]:
-            _fail("ber.channel", "antennas must exceed users")
-    else:
-        if not chan["paths"]:
-            _fail("ber.channel.paths", "file source needs at least one path")
-        # Channel files are read only when the BER study starts: check them now.
-        for i, name in enumerate(chan["paths"]):
-            try:
-                is_file = Path(name).is_file()
-            except OSError:  # a name the file system rejects, such as one too long
-                is_file = False
-            if not is_file:
-                _fail(f"ber.channel.paths[{i}]", f"{name!r} is not an existing regular file")
-    budget = resolved["power"]["link_budget"]
-    if budget["antennas"] <= budget["users"]:
-        _fail("power.link_budget", "antennas must exceed users")
+    ber = resolved["ber"]
+    chan = ber["channel"]
+    files = chan["source"] == "files"
+    digests = _read_channel_files(chan, fragment["ber"]["channel"]) if files else ()
+    if chan["antennas"] <= chan["users"]:  # with files, the users of all files
+        _fail("ber.channel.paths" if files else "ber.channel",
+              f"antennas must exceed users, got {chan['antennas']} and {chan['users']}")
+    for entry in resolved["frame_structures"].values():
+        entry["bits_per_qam_symbol"] = ber["modulation_order"].bit_length() - 1
+    resolved["power"]["modulation_order"] = ber["modulation_order"]
+    resolved["power"]["link_budget"].update(antennas=chan["antennas"], users=chan["users"])
     if resolved["power"]["mode"] == "simulated":
-        _check_simulated_targets(resolved["power"], resolved["ber"])
-    return ExperimentConfig(resolved=resolved)
+        _check_simulated_targets(resolved["power"], ber)
+    return ExperimentConfig(resolved=resolved, channel_sha256=digests)
+
+
+def _read_channel_files(chan: dict, raw: dict) -> tuple:
+    """Set ``chan``'s sizes from its files' headers, users summed; return the files' sha256."""
+    if not chan["paths"]:
+        _fail("ber.channel.paths", "file source needs at least one path")
+    for key in sorted(raw.keys() & {"antennas", "users", "subcarriers"}):
+        _fail(f"ber.channel.{key}", "is read from the channel files' headers")
+    for i, name in enumerate(chan["paths"]):
+        if not os.path.isfile(name):  # also false for a name the file system rejects
+            _fail(f"ber.channel.paths[{i}]", f"{name!r} is not an existing regular file")
+    sizes, digests = [], []
+    for i, name in enumerate(chan["paths"]):
+        try:
+            buf = Path(name).read_bytes()
+            sizes.append(parse_channel_header(buf, name))
+        except (ChannelFileError, OSError) as exc:
+            _fail(f"ber.channel.paths[{i}]", str(exc))
+        digests.append(hashlib.sha256(buf).hexdigest())
+    shapes = sorted({(m, f) for m, _, f in sizes})
+    if len(shapes) != 1:
+        _fail("ber.channel.paths", f"files differ in (antennas, subcarriers): {shapes}")
+    (m, f), users = shapes[0], sum(k for _, k, _ in sizes)
+    chan.update(antennas=m, users=users, subcarriers=f)
+    return tuple(digests)
 
 
 def _check_simulated_targets(power: dict, ber: dict) -> None:
@@ -373,7 +396,7 @@ def _check_simulated_targets(power: dict, ber: dict) -> None:
     # Beyond +-100 dB the exact BER sits at its limits, 0 and 1/2, to 1e-5;
     # the clip keeps the linear SNR finite and positive.
     snr_db = np.clip(np.asarray(ber["snr_grid_db"], dtype=float), -100.0, 100.0)
-    exact = qam_ber_exact(10.0 ** (snr_db / 10.0), power["modulation_order"])
+    exact = qam_ber_exact(10.0 ** (snr_db / 10.0), ber["modulation_order"])
     lo, hi = float(exact.min()), float(exact.max())
     n_bits = ber["bits_per_point"]
     lo += 3.0 * math.sqrt(lo * (1.0 - lo) / n_bits)
@@ -382,7 +405,7 @@ def _check_simulated_targets(power: dict, ber: dict) -> None:
     if outside:
         _fail("power.ber_targets",
               f"{outside} outside [{lo:.3e}, {hi:.3e}], the exact BER range of "
-              f"ber.snr_grid_db for {power['modulation_order']}-QAM less 3 standard "
+              f"ber.snr_grid_db at ber.modulation_order {ber['modulation_order']} less 3 standard "
               f"errors of ber.bits_per_point bits at each end")
 
 

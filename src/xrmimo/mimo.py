@@ -120,11 +120,9 @@ def save_channel(channel: ChannelMatrix, path) -> None:
         fh.write(channel.gains.astype("<c8"))
 
 
-def load_channel(path) -> ChannelMatrix:
-    """Parse one channel file; raises ChannelFileError with a byte offset."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < len(CHANNEL_FILE_MAGIC) or buf[:4] != CHANNEL_FILE_MAGIC:
+def parse_channel_header(buf: bytes, path) -> tuple[int, int, int]:
+    """(M, K, F) from the 16-byte header at the start of ``buf``, a file of ``path``."""
+    if buf[:4] != CHANNEL_FILE_MAGIC:
         raise ChannelFileError(f"bad magic in {path}", offset=0)
     if len(buf) < CHANNEL_HEADER_BYTES:
         raise ChannelFileError(f"truncated header in {path}", offset=len(buf))
@@ -133,6 +131,14 @@ def load_channel(path) -> ChannelMatrix:
         raise ChannelFileError(
             f"invalid dimensions M={m}, K={k}, F={f} in {path}", offset=4
         )
+    return m, k, f
+
+
+def load_channel(path) -> ChannelMatrix:
+    """Parse one channel file; raises ChannelFileError with a byte offset."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    m, k, f = parse_channel_header(buf, path)
     expected = CHANNEL_HEADER_BYTES + 8 * f * m * k
     if len(buf) != expected:
         raise ChannelFileError(

@@ -1,13 +1,33 @@
 """Config schema, validation, merging, and hashing tests."""
 
 import json
+import math
+import re
+import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrmimo.config import build_config, config_hash, load_config
 from xrmimo.exceptions import ConfigurationError
+from xrmimo.linkbudget import LinkBudgetConfig, snr_target_for_ber
+from xrmimo.mimo import generate_channel, save_channel
+from xrmimo.studies import run_power_study
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+LAYOUT_A = ["pilot", "ul", "ul", "ul", "ul", "pilot", "dl", "dl", "dl", "dl"]
+
+
+def settable(resolved: dict) -> dict:
+    """A resolved config less the values ``build_config`` derives: a loadable fragment."""
+    for entry in resolved["frame_structures"].values():
+        del entry["bits_per_qam_symbol"]
+    del resolved["power"]["modulation_order"]
+    del resolved["power"]["link_budget"]["antennas"], resolved["power"]["link_budget"]["users"]
+    return resolved
 
 
 def _names(node):
@@ -39,13 +59,13 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-DEFAULT_PATHS = list(_paths(build_config().resolved))
+DEFAULT_PATHS = list(_paths(settable(build_config().resolved)))
 
 
 @st.composite
 def mutated_defaults(draw):
     """The default config with a few values, anywhere in it, replaced."""
-    fragment = build_config().resolved
+    fragment = settable(build_config().resolved)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(DEFAULT_PATHS))
         node = fragment
@@ -80,6 +100,120 @@ class TestDefaults:
 
     def test_output_dir_does_not_change_hash(self):
         assert build_config({"output_dir": "a"}).hash == build_config({"output_dir": "b"}).hash
+
+    def test_default_hash_pinned(self):
+        # Line 1 of every default CSV: it changes only with the resolved settings.
+        assert build_config().hash == "62500d89f5f3cf38"
+
+    def test_resolved_less_derived_values_reloads(self):
+        cfg = build_config()
+        assert build_config(settable(build_config().resolved)).resolved == cfg.resolved
+
+
+class TestRadioDescription:
+    """``ber.modulation_order`` and ``ber.channel`` describe the radio; the rest is derived."""
+
+    def test_modulation_order_sets_frame_bits_and_power_order(self, tmp_path):
+        cfg = build_config({"ber": {"modulation_order": 16}, "frame_structures": {
+            "A": {"layout": LAYOUT_A}, "C": {"layout": ["pilot", "ul", "dl"]}}})
+        assert {name: fs.bits_per_qam_symbol for name, fs in cfg.frame_structures().items()} \
+            == {"A": 4, "C": 4}
+        assert cfg.power["modulation_order"] == 16
+        text = run_power_study(cfg, out_dir=tmp_path).read_text()
+        snr_db = float(text.splitlines()[2].split(",")[1])
+        assert snr_db == pytest.approx(snr_target_for_ber(1e-4, 16), rel=1e-11)
+
+    def test_synthetic_channel_sets_link_budget_array(self):
+        cfg = build_config({"ber": {"channel": {"antennas": 40, "users": 8}}})
+        budget = cfg.power["link_budget"]
+        assert (budget["antennas"], budget["users"]) == (40, 8)
+        assert LinkBudgetConfig(**budget).resolved_array_gain_db == pytest.approx(
+            10.0 * math.log10(33.0), rel=1e-15)
+
+    @pytest.mark.parametrize("fragment, key", [
+        ({"frame_structures": {"A": {"layout": LAYOUT_A, "bits_per_qam_symbol": 2}}},
+         "frame_structures.A.bits_per_qam_symbol"),
+        ({"power": {"modulation_order": 16}}, "power.modulation_order"),
+        ({"power": {"link_budget": {"antennas": 100}}}, "power.link_budget.antennas"),
+        ({"power": {"link_budget": {"users": 40}}}, "power.link_budget.users"),
+        # BER at 64-QAM with 4 users, power at 16-QAM with a 40-user array
+        # gain, frame structure A at QPSK: one radio described three ways.
+        ({"ber": {"modulation_order": 64, "channel": {"users": 4}},
+          "power": {"modulation_order": 16, "link_budget": {"users": 40}},
+          "frame_structures": {"A": {"layout": LAYOUT_A, "bits_per_qam_symbol": 2}}},
+         "frame_structures.A.bits_per_qam_symbol"),
+    ], ids=["frame-bits", "power-order", "budget-antennas", "budget-users", "inconsistent"])
+    def test_removed_keys_rejected(self, fragment, key):
+        with pytest.raises(ConfigurationError, match=rf"unknown keys \['{re.escape(key)}'\]"):
+            build_config(fragment)
+
+
+def _channel_file(path, n_antennas, n_users, n_subcarriers, rng=0) -> str:
+    save_channel(generate_channel(n_antennas, n_users, n_subcarriers, rng=rng), path)
+    return str(path)
+
+
+def _files_config(paths, **channel) -> dict:
+    return {"ber": {"channel": {"source": "files", "paths": [str(p) for p in paths], **channel}}}
+
+
+class TestChannelFileSource:
+    """With ``source: files`` the channel's sizes come from the files' headers at load."""
+
+    def test_sizes_from_headers_users_summed(self, tmp_path):
+        paths = [_channel_file(tmp_path / "a.bin", 32, 4, 16, rng=1),
+                 _channel_file(tmp_path / "b.bin", 32, 3, 16, rng=2)]
+        cfg = build_config(_files_config(paths))
+        chan = cfg.ber["channel"]
+        assert (chan["antennas"], chan["users"], chan["subcarriers"]) == (32, 7, 16)
+        budget = cfg.power["link_budget"]
+        assert (budget["antennas"], budget["users"]) == (32, 7)
+
+    @pytest.mark.parametrize("key", ["antennas", "users", "subcarriers"])
+    def test_sizes_not_settable(self, tmp_path, key):
+        path = _channel_file(tmp_path / "a.bin", 8, 2, 4)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^ber\.channel\.{key}: is read from the channel files"):
+            build_config(_files_config([path], **{key: 4}))
+
+    def test_summed_users_must_stay_below_antennas(self, tmp_path):
+        paths = [_channel_file(tmp_path / "a.bin", 8, 4, 4, rng=1),
+                 _channel_file(tmp_path / "b.bin", 8, 4, 4, rng=2)]
+        with pytest.raises(ConfigurationError,
+                           match=r"^ber\.channel\.paths: antennas must exceed users, got 8 and 8$"):
+            build_config(_files_config(paths))
+
+    @pytest.mark.parametrize("second", [(9, 2, 4), (8, 2, 5)], ids=["antennas", "subcarriers"])
+    def test_files_must_share_antennas_and_subcarriers(self, tmp_path, second):
+        paths = [_channel_file(tmp_path / "a.bin", 8, 2, 4),
+                 _channel_file(tmp_path / "b.bin", *second)]
+        with pytest.raises(ConfigurationError,
+                           match=r"^ber\.channel\.paths: files differ in \(antennas, subcarriers\)"):
+            build_config(_files_config(paths))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"NOPE" + bytes(20), r"bad magic in .* \(byte offset 0\)"),
+        (b"XMCH\x08\x00\x00", r"truncated header in .* \(byte offset 7\)"),
+        (b"XMCH" + np.array([2, 2, 1], dtype="<u4").tobytes() + bytes(32),
+         r"invalid dimensions M=2, K=2, F=1 in .* \(byte offset 4\)"),
+    ], ids=["magic", "truncated-header", "dimensions"])
+    def test_bad_header_fails_at_load(self, tmp_path, data, message):
+        good = _channel_file(tmp_path / "a.bin", 8, 2, 4)
+        (tmp_path / "b.bin").write_bytes(data)
+        with pytest.raises(ConfigurationError, match=rf"^ber\.channel\.paths\[1\]: {message}$"):
+            build_config(_files_config([good, tmp_path / "b.bin"]))
+
+    def test_hash_covers_file_bytes_not_paths(self, tmp_path):
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        first = _channel_file(tmp_path / "x" / "ch.bin", 8, 2, 4)
+        second = shutil.copy(first, tmp_path / "y" / "other.bin")
+        reference = build_config(_files_config([first])).hash
+        assert build_config(_files_config([second])).hash == reference
+        data = bytearray(Path(second).read_bytes())
+        data[-1] ^= 1
+        Path(second).write_bytes(bytes(data))
+        assert build_config(_files_config([second])).hash != reference
 
 
 class TestValidation:
@@ -177,12 +311,6 @@ class TestValidation:
     def test_duplicate_grid_values_rejected(self, fragment, path):
         with pytest.raises(ConfigurationError, match=rf"^{path}: duplicate values"):
             build_config(fragment)
-
-    def test_bits_per_qam_symbol_choices(self):
-        with pytest.raises(ConfigurationError,
-                           match=r"^frame_structures\.X\.bits_per_qam_symbol: must be one of"):
-            build_config({"frame_structures": {
-                "X": {"layout": ["pilot", "ul", "dl"], "bits_per_qam_symbol": 8}}})
 
     def test_noise_var_removed(self):
         with pytest.raises(ConfigurationError, match=r"ber\.noise_var"):
@@ -315,3 +443,11 @@ class TestLoadConfig:
         )
         cfg = load_config(path)
         assert cfg.scenario_payload_bits() == {1: 500}
+
+    def test_readme_yaml_examples_load(self, tmp_path):
+        examples = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert examples
+        for i, text in enumerate(examples):
+            path = tmp_path / f"readme{i}.yaml"
+            path.write_text(text, encoding="utf-8")
+            load_config(path)

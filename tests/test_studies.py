@@ -163,7 +163,7 @@ class TestPowerStudy:
             "output_dir": str(tmp_path),
             "ber": {"bits_per_point": 50_000, "snr_grid_db": [10.0, 16.0], "modulation_order": 16,
                     "channel": {"source": "files", "paths": [str(tmp_path / "ch.bin")]}},
-            "power": {"mode": "simulated", "modulation_order": 16, "ber_targets": [1e-2]},
+            "power": {"mode": "simulated", "ber_targets": [1e-2]},
         })
         with caplog.at_level(logging.WARNING, logger="xrmimo"):
             power = run_power_study(cfg).read_text()
@@ -237,6 +237,17 @@ class TestPinnedBytes:
     ], ids=["latency", "sensitivity", "ber", "power"])
     def test_sha256(self, study, digest, tmp_path):
         path = study(build_config(self.CONFIG), out_dir=tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # The default config's CSVs, as ``xrmimo all`` writes them (the default
+    # sensitivity study takes seconds and is left out).
+    @pytest.mark.parametrize("study, digest", [
+        (run_latency_study, "32e2e24c958dd6f7034dadf4219d086e0fa377f79a34abf79a62db9e4d09e845"),
+        (run_ber_study, "0967623624ef2f70296bf815a7b70b25808de700af944bc70f24e14ead4f7de4"),
+        (run_power_study, "4ab301abab5e8b124967a6227a10f4f501d194a84e3c6c80d610bf8b013ec9fb"),
+    ], ids=["latency", "ber", "power"])
+    def test_default_config_sha256(self, study, digest, tmp_path):
+        path = study(build_config(), out_dir=tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_sensitivity_exclusions_sha256(self, tmp_path, caplog):
