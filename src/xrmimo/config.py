@@ -32,7 +32,7 @@ from .frames import (
     SymbolRole,
 )
 from .linkbudget import LinkBudgetConfig
-from .mimo import parse_channel_header
+from .mimo import parse_channel
 from .modem import VALID_QAM_ORDERS, qam_ber_exact
 from .scenarios import SCENARIO_IDS, SCENARIO_UL_BITS
 
@@ -238,8 +238,8 @@ SCHEMA = {
         "modulation_order": (_int(choices=VALID_QAM_ORDERS), 64),
         "channel": {
             "source": (_str(("synthetic", "files")), "synthetic"),
-            "antennas": (_int(minimum=2), 100),
-            "users": (_int(minimum=1), 10),
+            "antennas": (_int(minimum=2), _BUDGET.antennas),
+            "users": (_int(minimum=1), _BUDGET.users),
             "subcarriers": (_int(minimum=1), 1200),
             "paths": (_list(_str(), allow_empty=True), []),
         },
@@ -346,6 +346,8 @@ def build_config(fragment: dict | None = None) -> ExperimentConfig:
     ber = resolved["ber"]
     chan = ber["channel"]
     files = chan["source"] == "files"
+    if chan["paths"] and not files:
+        _fail("ber.channel.paths", "is read only with ber.channel.source: files")
     digests = _read_channel_files(chan, fragment["ber"]["channel"]) if files else ()
     if chan["antennas"] <= chan["users"]:  # with files, the users of all files
         _fail("ber.channel.paths" if files else "ber.channel",
@@ -360,7 +362,7 @@ def build_config(fragment: dict | None = None) -> ExperimentConfig:
 
 
 def _read_channel_files(chan: dict, raw: dict) -> tuple:
-    """Set ``chan``'s sizes from its files' headers, users summed; return the files' sha256."""
+    """Parse ``chan``'s files, set its sizes from them (users summed); return their sha256."""
     if not chan["paths"]:
         _fail("ber.channel.paths", "file source needs at least one path")
     for key in sorted(raw.keys() & {"antennas", "users", "subcarriers"}):
@@ -372,14 +374,14 @@ def _read_channel_files(chan: dict, raw: dict) -> tuple:
     for i, name in enumerate(chan["paths"]):
         try:
             buf = Path(name).read_bytes()
-            sizes.append(parse_channel_header(buf, name))
+            sizes.append(parse_channel(buf, name).gains.shape)
         except (ChannelFileError, OSError) as exc:
             _fail(f"ber.channel.paths[{i}]", str(exc))
         digests.append(hashlib.sha256(buf).hexdigest())
-    shapes = sorted({(m, f) for m, _, f in sizes})
+    shapes = sorted({(m, f) for f, m, _ in sizes})
     if len(shapes) != 1:
         _fail("ber.channel.paths", f"files differ in (antennas, subcarriers): {shapes}")
-    (m, f), users = shapes[0], sum(k for _, k, _ in sizes)
+    (m, f), users = shapes[0], sum(k for _, _, k in sizes)
     chan.update(antennas=m, users=users, subcarriers=f)
     return tuple(digests)
 

@@ -20,23 +20,11 @@ _DEGENERACY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class AteResult:
-    """Translation RMSE after alignment, with the transform that achieved it."""
+    """Translation RMSE after alignment, over ``n_poses`` associated poses."""
 
     rmse: float
     n_poses: int
     n_dropped: int
-    rotation: np.ndarray
-    translation: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        if self.rmse < 0:
-            raise ValueError("rmse must be >= 0")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        r = np.asarray(self.rotation, dtype=float)
-        if np.abs(r @ r.T - np.eye(3)).max() > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("rotation must be orthonormal with determinant +1")
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,6 @@ class BootstrapStats:
     std: float
     ci_low: float
     ci_high: float
-    n_draws: int
 
 
 def umeyama_align(estimated, ground_truth, with_scale: bool = True):
@@ -153,8 +140,7 @@ def ate_translation(estimate, ground_truth) -> AteResult:
     rotation, translation, scale = umeyama_align(est_p[est_idx], gt_p[gt_idx])
     aligned = scale * (est_p[est_idx] @ rotation.T) + translation
     rmse = float(np.sqrt(np.mean(np.sum((gt_p[gt_idx] - aligned) ** 2, axis=1))))
-    return AteResult(rmse=rmse, n_poses=int(est_idx.size), n_dropped=n_dropped,
-                     rotation=rotation, translation=translation, scale=scale)
+    return AteResult(rmse=rmse, n_poses=int(est_idx.size), n_dropped=n_dropped)
 
 
 def trajectory_error_percentages(run_errors, baselines) -> np.ndarray:
@@ -206,4 +192,4 @@ def bootstrap_stats(values, n_draws: int = 10_000, ci_level: float = 0.95,
     shifted = means - means[0]
     return BootstrapStats(mean=float(means[0] + shifted.mean()),
                           std=float(shifted.std(ddof=0)),
-                          ci_low=float(lo), ci_high=float(hi), n_draws=n_draws)
+                          ci_low=float(lo), ci_high=float(hi))

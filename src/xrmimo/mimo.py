@@ -67,7 +67,7 @@ class ChannelMatrix:
         _, m, k = gains.shape
         if not m > k >= 1:
             raise ConfigurationError(f"need antennas > users >= 1, got M={m}, K={k}")
-        if not np.isfinite(gains).all():
+        if not np.isfinite(gains).all():  # else the SVD raises a bare LinAlgError
             raise ConfigurationError("channel gains must be finite")
         self.gains = gains
 
@@ -120,8 +120,8 @@ def save_channel(channel: ChannelMatrix, path) -> None:
         fh.write(channel.gains.astype("<c8"))
 
 
-def parse_channel_header(buf: bytes, path) -> tuple[int, int, int]:
-    """(M, K, F) from the 16-byte header at the start of ``buf``, a file of ``path``."""
+def parse_channel(buf: bytes, path) -> ChannelMatrix:
+    """The channel file ``buf`` read from ``path``: header, size and floats checked."""
     if buf[:4] != CHANNEL_FILE_MAGIC:
         raise ChannelFileError(f"bad magic in {path}", offset=0)
     if len(buf) < CHANNEL_HEADER_BYTES:
@@ -131,14 +131,6 @@ def parse_channel_header(buf: bytes, path) -> tuple[int, int, int]:
         raise ChannelFileError(
             f"invalid dimensions M={m}, K={k}, F={f} in {path}", offset=4
         )
-    return m, k, f
-
-
-def load_channel(path) -> ChannelMatrix:
-    """Parse one channel file; raises ChannelFileError with a byte offset."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    m, k, f = parse_channel_header(buf, path)
     expected = CHANNEL_HEADER_BYTES + 8 * f * m * k
     if len(buf) != expected:
         raise ChannelFileError(
@@ -154,6 +146,12 @@ def load_channel(path) -> ChannelMatrix:
         )
     # The float32 (real, imaginary) pairs widen straight into complex128 gains.
     return ChannelMatrix(floats.astype(float).view(complex).reshape(f, m, k))
+
+
+def load_channel(path) -> ChannelMatrix:
+    """Read and parse one channel file; raises ChannelFileError with a byte offset."""
+    with open(path, "rb") as fh:
+        return parse_channel(fh.read(), path)
 
 
 def concat_channels(channels) -> ChannelMatrix:

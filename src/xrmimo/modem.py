@@ -52,7 +52,7 @@ def _axis_geometry(order: int):
 class QamConstellation:
     """Square M-QAM with per-axis Gray labelling and unit mean energy."""
 
-    def __init__(self, order: int = 64):
+    def __init__(self, order: int):
         levels_per_axis, scale, levels = _axis_geometry(order)
         self.order = order
         self.bits_per_symbol = int(round(math.log2(order)))
@@ -108,7 +108,7 @@ class QamConstellation:
         return ((labels[:, None] >> shifts) & 1).ravel()
 
 
-def qam_ber_approx(snr_linear, order: int = 64):
+def qam_ber_approx(snr_linear, order: int):
     """Nearest-neighbour Gray-QAM bit error rate on AWGN."""
     _axis_geometry(order)
     snr = np.asarray(snr_linear, dtype=float)
@@ -117,7 +117,7 @@ def qam_ber_approx(snr_linear, order: int = 64):
     return float(ber) if np.isscalar(snr_linear) else ber
 
 
-def qam_ber_exact(snr_linear, order: int = 64):
+def qam_ber_exact(snr_linear, order: int):
     """Exact Gray-QAM bit error rate on AWGN for hard per-axis decisions.
 
     Sums, over each transmitted level, the probability mass the Gaussian

@@ -177,8 +177,8 @@ def run_sensitivity_study(config: ExperimentConfig, out_dir=None) -> Path:
     return _write_csv(config, out_dir, "sensitivity.csv", SENSITIVITY_CSV_HEADER, rows)
 
 
-def _simulate_ber(config: ExperimentConfig, study_id: int, order: int) -> tuple[BerCurve, tuple]:
-    """Monte-Carlo BER over ``ber.snr_grid_db`` on the configured channel, for one study.
+def _simulate_ber(config: ExperimentConfig, study_id: int) -> tuple[BerCurve, tuple]:
+    """Monte-Carlo BER over ``ber.snr_grid_db`` on the configured channel and QAM order.
 
     Serves the BER study and the simulated power study.  Returns the curve
     and the CSV comment line counting the singular subcarriers skipped,
@@ -193,7 +193,7 @@ def _simulate_ber(config: ExperimentConfig, study_id: int, order: int) -> tuple[
         channel = load_channels(chan["paths"])
     curve = ber_curve(channel, settings["snr_grid_db"], settings["bits_per_point"],
                       seed=seed_sequence(config.seed, study_id, 1),
-                      constellation=QamConstellation(order))
+                      constellation=QamConstellation(settings["modulation_order"]))
     skipped = curve.n_singular_subcarriers
     if skipped:
         log.warning("%s study: skipped %d singular subcarriers",
@@ -203,7 +203,7 @@ def _simulate_ber(config: ExperimentConfig, study_id: int, order: int) -> tuple[
 
 def run_ber_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Monte-Carlo uncoded BER versus post-equalisation SNR on the configured channel."""
-    curve, extra = _simulate_ber(config, STUDY_BER, config.ber["modulation_order"])
+    curve, extra = _simulate_ber(config, STUDY_BER)
     rows = [(p.snr_db, p.ber, p.n_bits, p.n_errors) for p in curve]
     return _write_csv(config, out_dir, "ber.csv", BER_CSV_HEADER, rows, extra_comments=extra)
 
@@ -214,11 +214,11 @@ def run_power_study(config: ExperimentConfig, out_dir=None) -> Path:
     budget = LinkBudgetConfig(**settings["link_budget"])
     curve, extra = None, ()
     if settings["mode"] == "simulated":
-        curve, extra = _simulate_ber(config, STUDY_POWER, settings["modulation_order"])
+        curve, extra = _simulate_ber(config, STUDY_POWER)
     rows = []
     for target in settings["ber_targets"]:
         if curve is None:
-            snr_db = snr_target_for_ber(target, settings["modulation_order"])
+            snr_db = snr_target_for_ber(target, config.ber["modulation_order"])
         else:
             snr_db = snr_target_from_curve(target, [(p.snr_db, p.ber) for p in curve])
         power = required_tx_power(snr_db, budget)

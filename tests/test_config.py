@@ -105,6 +105,10 @@ class TestDefaults:
         # Line 1 of every default CSV: it changes only with the resolved settings.
         assert build_config().hash == "62500d89f5f3cf38"
 
+    def test_default_array_is_the_link_budget_default(self):
+        chan, budget = build_config().ber["channel"], LinkBudgetConfig()
+        assert (chan["antennas"], chan["users"]) == (budget.antennas, budget.users)
+
     def test_resolved_less_derived_values_reloads(self):
         cfg = build_config()
         assert build_config(settable(build_config().resolved)).resolved == cfg.resolved
@@ -146,6 +150,9 @@ class TestRadioDescription:
     def test_removed_keys_rejected(self, fragment, key):
         with pytest.raises(ConfigurationError, match=rf"unknown keys \['{re.escape(key)}'\]"):
             build_config(fragment)
+
+
+HEADER_8_2_4 = b"XMCH" + np.array([8, 2, 4], dtype="<u4").tobytes()
 
 
 def _channel_file(path, n_antennas, n_users, n_subcarriers, rng=0) -> str:
@@ -196,7 +203,12 @@ class TestChannelFileSource:
         (b"XMCH\x08\x00\x00", r"truncated header in .* \(byte offset 7\)"),
         (b"XMCH" + np.array([2, 2, 1], dtype="<u4").tobytes() + bytes(32),
          r"invalid dimensions M=2, K=2, F=1 in .* \(byte offset 4\)"),
-    ], ids=["magic", "truncated-header", "dimensions"])
+        # The payload is parsed at load too: an 8 x 2 x 4 file holds 528 bytes.
+        (HEADER_8_2_4 + bytes(504),
+         r"payload size mismatch in .*: expected 528 bytes, found 520 \(byte offset 520\)"),
+        (HEADER_8_2_4 + np.array([np.nan], dtype="<f4").tobytes() + bytes(508),
+         r"non-finite channel entry in .* \(byte offset 16\)"),
+    ], ids=["magic", "truncated-header", "dimensions", "short-payload", "non-finite"])
     def test_bad_header_fails_at_load(self, tmp_path, data, message):
         good = _channel_file(tmp_path / "a.bin", 8, 2, 4)
         (tmp_path / "b.bin").write_bytes(data)
@@ -265,6 +277,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="layout"):
             build_config({"frame_structures": {
                 "X": {"layout": ["pilot", "up", "dl"]}}})
+
+    def test_channel_paths_need_file_source(self):
+        build_config({"ber": {"channel": {"paths": []}}})
+        with pytest.raises(ConfigurationError, match=r"^ber\.channel\.paths: is read only with "
+                                                     r"ber\.channel\.source: files$"):
+            build_config({"ber": {"channel": {"paths": ["missing.bin"]}}})
 
     def test_channel_file_source_needs_paths(self):
         with pytest.raises(ConfigurationError, match="paths"):

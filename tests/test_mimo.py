@@ -84,6 +84,20 @@ def bit_domain_error_counts(h, snr_points_db, bits_per_point, seed, constellatio
     return out
 
 
+class TestChannelMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary-inf"])
+    def test_rejects_non_finite_gains(self, bad):
+        gains = generate_channel(8, 2, 4, rng=1).gains.copy()
+        gains[1, 3, 0] = bad
+        with pytest.raises(ConfigurationError, match="^channel gains must be finite$"):
+            ChannelMatrix(gains)
+        # Why the check stays: without it the factorisation raises numpy's
+        # LinAlgError, which is not a SimulationError the CLI reports.
+        with pytest.raises(np.linalg.LinAlgError):
+            mimo_module._factor_chunk(gains)
+
+
 class TestGenerateChannel:
     def test_unit_variance(self):
         ch = generate_channel(100, 10, 1, rng=0)
