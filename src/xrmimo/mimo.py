@@ -52,6 +52,12 @@ SLICE_USER_SYMBOLS = CHUNK_USER_SYMBOLS // 16
 DRAW_SLICE = 1 << 16
 # Channel entries factored at once by ``_zf_factor``: about 1 MB of copy.
 FACTOR_CHUNK_ENTRIES = (1 << 20) // np.dtype(complex).itemsize
+# Entries from which a stack that fits one chunk is still factored as two
+# halves, one per thread.  On two CPUs, 128 and 256 subcarriers of 32 x 8
+# (32 768 and 65 536 entries) took 0.6-0.75x the time; below 32 768 entries
+# the worker thread saved nothing on some shapes, and on 16 subcarriers or
+# fewer it made the factorisation 1.2-8x slower.
+SPLIT_FACTOR_ENTRIES = FACTOR_CHUNK_ENTRIES // 4
 
 
 @dataclass
@@ -177,9 +183,10 @@ def _zf_factor(h):
     The stack is factored ``FACTOR_CHUNK_ENTRIES`` channel entries (about
     1 MB) of subcarriers at a time, each chunk by ``_factor_chunk`` into the
     preallocated results, and the chunks split over two threads
-    (``parallel.in_two_halves``); each matrix is factored alone, so the
-    results do not depend on the chunking.  A 2-D (M, K) input is one
-    matrix.
+    (``parallel.in_two_halves``).  A stack that fits one chunk is factored
+    as two halves, if it holds ``SPLIT_FACTOR_ENTRIES`` entries.  Each
+    matrix is factored alone, so the results do not depend on the
+    chunking.  A 2-D (M, K) input is one matrix.
     """
     h = np.asarray(h, dtype=complex)
     *lead, m, k = h.shape
@@ -187,6 +194,8 @@ def _zf_factor(h):
     cond = np.empty(len(stack))
     r_inv = np.empty((len(stack), k, k), dtype=complex)
     step = max(1, FACTOR_CHUNK_ENTRIES // (m * k))
+    if len(stack) <= step and stack.size >= SPLIT_FACTOR_ENTRIES:
+        step = -(-len(stack) // 2)
 
     def factor(starts):
         # The results land in ``cond`` and ``r_inv``; each chunk writes its own rows.

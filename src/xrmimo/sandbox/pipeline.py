@@ -45,9 +45,11 @@ from .solver import solve_pose  # noqa: F401
 # Frames per block: bounds the stacked observation and the record blocks.
 BLOCK_FRAMES = 256
 # Expected bit flips per frame from which a block's link stage runs on two
-# threads.  numpy draws and applies the flips without holding the GIL, but
-# below about 8000 flips a frame the GIL-held write, read and generator
-# set-up dominate and a second thread is slower; the gate is twice that.
+# threads.  numpy draws, sorts and applies the flips without holding the
+# GIL, but with few flips the GIL-held write, read and generator set-up
+# dominate.  Over 100 frames of scenarios 1 and 2, two threads took 1.1-1.4x
+# the time of one at BER 1e-3 (5 500-7 400 flips a frame), 0.8-1.1x at 2e-3
+# to 4e-3 (11 000-29 000 flips), and 0.7-0.8x at 1e-2 (55 000-74 000).
 PARALLEL_LINK_FLIPS = 16_384
 
 

@@ -6,11 +6,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from xrmimo.biterrors import corrupt, sample_error_count, sample_flip_positions
+from xrmimo.biterrors import (
+    SORTED_DRAW_FLIPS,
+    corrupt,
+    corrupt_in_place,
+    sample_error_count,
+    sample_flip_positions,
+)
 from xrmimo.sandbox import (
     MAX_FEATURES_PER_FRAME,
     RECORD_WITH_DEPTH_DTYPE,
@@ -118,7 +124,114 @@ class TestFlipBits:
         assert statistic < chi2.ppf(0.999, df=len(subsets) - 1)
 
 
+# The sorted draw runs for SORTED_DRAW_FLIPS <= k <= n // 50; this n has
+# both edges of that range, and the sparse and dense ranges around it.
+LAW_BITS = 1 << 17
+SORTED_LOW, SORTED_HIGH = SORTED_DRAW_FLIPS, LAW_BITS // 50
+
+
+class TestSortedFlipPositions:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 1 << 21), data=st.data(), seed=st.integers(0, 2**31))
+    @example(n=LAW_BITS, data=None, seed=0)
+    def test_ascending_distinct_in_range(self, n, data, seed):
+        """Every regime, at its edges and inside: k ascending distinct int64 positions."""
+        edges = [0, 1, SORTED_DRAW_FLIPS - 1, SORTED_DRAW_FLIPS, n // 50, n // 50 + 1,
+                 n // 20, n - 1, n]
+        ks = [k for k in edges if 0 <= k <= n]
+        if data is not None:
+            ks.append(data.draw(st.integers(0, n)))
+        rng = np.random.default_rng(seed)
+        for k in ks:
+            pos = sample_flip_positions(n, k, rng)
+            assert pos.dtype == np.int64 and pos.shape == (k,)
+            assert (np.diff(pos) > 0).all()
+            assert k == 0 or (pos[0] >= 0 and pos[-1] < n)
+
+    @pytest.mark.parametrize("n", [2**32, 2**32 + 1, 2**40])
+    def test_sorted_draw_beyond_32_bits(self, n):
+        rng = np.random.default_rng(10)
+        for k in (SORTED_DRAW_FLIPS, 3 * SORTED_DRAW_FLIPS):
+            pos = sample_flip_positions(n, k, rng)
+            assert pos.dtype == np.int64 and pos.shape == (k,)
+            assert (np.diff(pos) > 0).all() and pos[0] >= 0 and pos[-1] < n
+        # A 2^40-bit draw of 6144 positions lands above 2^32 nearly always.
+        assert n < 2**40 or pos[-1] >= 2**32
+
+    def test_shortfall_is_drawn_again(self):
+        """A first draw full of repeats is topped up to k distinct positions."""
+
+        class Repeating(np.random.Generator):
+            calls = 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                out = super().integers(*args, **kwargs)
+                if self.calls == 1:
+                    out[:] = out[0]
+                return out
+
+        rng = Repeating(np.random.PCG64(11))
+        pos = sample_flip_positions(LAW_BITS, SORTED_HIGH, rng)
+        assert rng.calls >= 2
+        assert pos.shape == (SORTED_HIGH,) and (np.diff(pos) > 0).all()
+        assert pos[0] >= 0 and pos[-1] < LAW_BITS
+
+    def test_law_in_the_sorted_draw_range(self):
+        """Single-position and pair inclusion rates of the sorted draw match a uniform k-subset.
+
+        Each position of a uniform k-subset of range(n) is included with
+        probability k/n, and a fixed pair with k(k-1)/(n(n-1)).
+        """
+        rng = np.random.default_rng(12)
+        n, draws = LAW_BITS, 4000
+        ks = rng.integers(SORTED_LOW, SORTED_HIGH + 1, size=draws)
+        counts = np.zeros(n, dtype=np.int64)
+        offsets = (1, 7, n // 8, n // 2)  # neighbours, and the same byte in other lanes
+        pairs = np.zeros(len(offsets), dtype=np.int64)
+        for k in ks:
+            pos = sample_flip_positions(n, int(k), rng)
+            counts[pos] += 1
+            member = np.zeros(n, dtype=bool)
+            member[pos] = True
+            for j, d in enumerate(offsets):
+                pairs[j] += np.count_nonzero(member[:-d] & member[d:])
+        # Inclusion counts: mean k/n and variance (k/n)(1 - k/n) per draw; the
+        # fixed total removes one degree of freedom.
+        share = ks / n
+        expected, variance = share.sum(), (share * (1 - share)).sum()
+        statistic = float(np.sum((counts - expected) ** 2) / variance)
+        assert chi2.ppf(1e-4, df=n - 1) < statistic < chi2.ppf(1 - 1e-4, df=n - 1)
+        # The chi-square cannot see one position off; both ends of the range, alone, can.
+        assert (np.abs(counts[[0, -1]] - expected) <= 5 * np.sqrt(variance)).all()
+        # Pairs (q, q + d) both included, summed over q: about 1.7e5 per offset.
+        pair_mean = (n - np.array(offsets)) * (ks * (ks - 1)).sum() / (n * (n - 1))
+        assert (np.abs(pairs - pair_mean) <= 5 * np.sqrt(pair_mean)).all()
+
+
+def lane_major_oracle(payload: np.ndarray, positions: np.ndarray) -> bytes:
+    """``payload`` with bit ``q // n`` (LSB first) of byte ``q % n`` flipped for each q."""
+    n_bytes = payload.size
+    bits = np.unpackbits(payload, bitorder="little").reshape(n_bytes, 8)
+    bits[positions % n_bytes, positions // n_bytes] ^= 1
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
 class TestCorrupt:
+    @settings(max_examples=40, deadline=None)
+    @given(n_bytes=st.integers(1, 1 << 15), seed=st.integers(0, 2**31),
+           ber=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 2e-2, 0.1, 0.5, 1.0]))
+    @example(n_bytes=1 << 15, seed=0, ber=1e-2)  # the sorted draw and one XOR per lane
+    @example(n_bytes=1 << 15, seed=0, ber=1e-3)  # ``choice`` and one ``xor.at``
+    def test_flips_exactly_the_lane_major_bits_drawn(self, n_bytes, seed, ber):
+        payload = np.random.default_rng(seed).integers(0, 256, n_bytes, dtype=np.uint8)
+        buf, gen, oracle_gen = payload.copy(), *(np.random.default_rng(seed) for _ in range(2))
+        corrupt_in_place(buf, ber, gen)
+        k = sample_error_count(8 * n_bytes, ber, oracle_gen)
+        positions = sample_flip_positions(8 * n_bytes, k, oracle_gen)
+        assert buf.tobytes() == lane_major_oracle(payload, positions)
+        assert gen.bit_generator.state == oracle_gen.bit_generator.state
+
     def test_zero_ber_identity(self):
         rng = np.random.default_rng(5)
         payload = bytes(rng.integers(0, 256, 1000, dtype=np.uint8))

@@ -16,7 +16,7 @@ import xrmimo.sandbox.matching as matching_module
 from test_matching import oracle_match
 from test_sandbox_scene import landmark_ids
 from test_solver import invisible_scene
-from xrmimo.biterrors import corrupt, corrupt_in_place
+from xrmimo.biterrors import corrupt, corrupt_in_place, sample_flip_positions
 from xrmimo.exceptions import FramingError
 from xrmimo.sandbox import (
     MATCH_DTYPE,
@@ -182,12 +182,13 @@ class TestWire:
         gen_in_place, gen_copy, gen_oracle = (np.random.default_rng(77) for _ in range(3))
         buf = payload.copy()
         corrupt_in_place(buf, ber, gen_in_place)
-        # Oracle: a binomial count, then distinct positions, flipped bit by bit.
+        # Oracle: a binomial count, then distinct positions, flipped bit by bit
+        # in lane-major order (position q is bit q // n_bytes of byte q % n_bytes).
         n_bits = 8 * payload.size
         k = gen_oracle.binomial(n_bits, ber)
-        bits = np.unpackbits(payload, bitorder="little")
-        bits[gen_oracle.choice(n_bits, size=k, replace=False, shuffle=False)] ^= 1
-        expected = np.packbits(bits, bitorder="little").tobytes()
+        lanes = np.unpackbits(payload, bitorder="little").reshape(-1, 8).T.copy()
+        lanes.reshape(-1)[sample_flip_positions(n_bits, k, gen_oracle)] ^= 1
+        expected = np.packbits(lanes.T, bitorder="little").tobytes()
         assert buf.tobytes() == corrupt(payload.tobytes(), ber, gen_copy) == expected
         states = [g.bit_generator.state for g in (gen_in_place, gen_copy, gen_oracle)]
         assert states[0] == states[1] == states[2]

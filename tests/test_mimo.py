@@ -16,6 +16,7 @@ from xrmimo.mimo import (
     DRAW_SLICE,
     FACTOR_CHUNK_ENTRIES,
     SLICE_USER_SYMBOLS,
+    SPLIT_FACTOR_ENTRIES,
     ChannelMatrix,
     ber_curve,
     channel_condition,
@@ -312,7 +313,10 @@ def assert_chunks_cannot_move_a_bit(monkeypatch, h):
     """1 CPU, then 2: the one-call bits, and a worker thread on the second half of the chunks."""
     main = threading.get_ident()
     n_sub = int(np.prod(h.shape[:-2]))
-    n_chunks = -(-n_sub // CHUNK_SUBCARRIERS)
+    chunk = CHUNK_SUBCARRIERS
+    if n_sub <= chunk and n_sub * FACTOR_ANTENNAS * FACTOR_USERS >= SPLIT_FACTOR_ENTRIES:
+        chunk = -(-n_sub // 2)  # a one-chunk stack this large is factored as two halves
+    n_chunks = -(-n_sub // chunk)
     expected_cond, expected_r_inv = one_call_factor(h)
     for cpus in (1, 2):
         (cond, r_inv), chunks = factor_on_cpus(monkeypatch, cpus, h)
@@ -320,7 +324,7 @@ def assert_chunks_cannot_move_a_bit(monkeypatch, h):
         assert r_inv.tobytes() == expected_r_inv.tobytes()
         assert cond.shape == expected_cond.shape and r_inv.shape == expected_r_inv.shape
         assert sum(size for _, size in chunks) == n_sub
-        assert all(size == CHUNK_SUBCARRIERS for _, size in chunks[:-1])
+        assert all(size == chunk for _, size in chunks[:-1])
         threads = [thread for thread, _ in chunks]
         assert len(threads) == n_chunks
         if cpus == 1 or n_chunks == 1:
@@ -353,6 +357,25 @@ class TestFactorThreads:
         gains = generate_channel(FACTOR_ANTENNAS, FACTOR_USERS, 2 * CHUNK_SUBCARRIERS + 6,
                                  rng=48).gains
         assert_chunks_cannot_move_a_bit(monkeypatch, gains.reshape(2, -1, *gains.shape[1:]))
+
+    def test_one_chunk_stack_runs_on_both_cpus(self, monkeypatch):
+        """A stack that fits one chunk is factored as two halves, one per thread on 2 CPUs."""
+        main = threading.get_ident()
+        gains = generate_channel(FACTOR_ANTENNAS, FACTOR_USERS, CHUNK_SUBCARRIERS, rng=50).gains
+        half = CHUNK_SUBCARRIERS // 2
+        _, chunks = factor_on_cpus(monkeypatch, 1, gains)
+        assert chunks == [(main, half), (main, half)]
+        _, chunks = factor_on_cpus(monkeypatch, 2, gains)
+        assert [size for _, size in chunks] == [half, half]
+        assert chunks[0][0] == main and chunks[1][0] != main
+
+    def test_small_stack_is_one_chunk(self, monkeypatch):
+        """Below ``SPLIT_FACTOR_ENTRIES`` a stack is one chunk on the calling thread."""
+        n_sub = SPLIT_FACTOR_ENTRIES // (FACTOR_ANTENNAS * FACTOR_USERS) - 1
+        gains = generate_channel(FACTOR_ANTENNAS, FACTOR_USERS, n_sub, rng=51).gains
+        for cpus in (1, 2):
+            _, chunks = factor_on_cpus(monkeypatch, cpus, gains)
+            assert chunks == [(threading.get_ident(), n_sub)]
 
     def test_one_matrix_is_one_chunk(self, monkeypatch):
         """A 2-D input is never split along its antennas, even above the chunk size."""

@@ -126,9 +126,9 @@ class TestDepthImage:
 # descriptor bytes) for one observed frame through encode, corrupt at BER
 # 1e-3 and decode; pins the codec path bit for bit.
 CODEC_GOLDEN = {
-    1: (59, "ea3957511a6f9da8b8154f337d3384faa9801d27e000602e35b39588574ae87b"),
-    2: (65, "492c681f2da9914739b0a254b79bca381df9fc77ee5fc7d581cef66a47c0cd5e"),
-    3: (59, "7b1d0a70c8ab71ebcdd88c5e7df87d6d11f54fdb1539e9c95bd2e22514fd2c12"),
+    1: (59, "b644c68d5b4e2b08835396c30a1d904deaacc6249d57cc96b3dc50ee296b84ce"),
+    2: (67, "5097e7980d7d423755a8259b4a004fc515c80c01ad2f7c84c4f73298b25ff7f8"),
+    3: (69, "94f111e216210e8c1071d77d95d74d739eb8d8e4bc1242e614dbce391607bfe2"),
 }
 
 

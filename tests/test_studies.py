@@ -30,7 +30,7 @@ SMALL_SENSITIVITY = {
 }
 # Only 25 landmarks: some runs keep fewer than the 3 poses ATE needs.  At
 # seed 12345 this excludes one baseline (scenario 3, trajectory 2), single
-# trials (scenario 3, trajectory 3, BER 1e-2) and whole trajectories.
+# trials (scenario 1, trajectory 2, BER 1e-2) and whole trajectories.
 EXCLUDING_SENSITIVITY = {
     "n_trajectories": 4,
     "n_frames": 12,
@@ -231,7 +231,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("study, digest", [
         (run_latency_study, "70c3a785c35be2d08e53c0341cc55f86977ff864e916bfab0b6d0493a0367b3e"),
         (run_sensitivity_study,
-         "9fdf8b19abe28bb87ef164320fd5068dce97a9e031e14c80cc49df8b9f50bd4b"),
+         "4dc3c29cebb784d868a6889970c1390ab27fd8620a154a6e0d41657cb24d6fb4"),
         (run_ber_study, "5c372c391efef7db5bf98251c4657ce969139159698fc66a984cff2ab1b02c30"),
         (run_power_study, "3a2ec81558eec5c6dc1df39591b882281924fa85479b66df7d45430f46b8c8c3"),
     ], ids=["latency", "sensitivity", "ber", "power"])
@@ -255,20 +255,18 @@ class TestPinnedBytes:
             path = run_sensitivity_study(build_config({"sensitivity": EXCLUDING_SENSITIVITY}),
                                          out_dir=tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "fd0ab7018d9858e96444d0b947563f13efbe99848da73c179ac63761d67d8202")
+            "a13ede29eb7e6f296e32c16e04dab8a721d7c2d4c527d945c53b77dc6f2e4b49")
         # Every excluded run and every cell that lost trajectories is logged.
         assert [m.split(" (")[0] for m in caplog.messages] == [
             "scenario 1 trajectory 2 ber 0.01 trial 0: run excluded",
-            "scenario 1 trajectory 2 ber 0.01 trial 1: run excluded",
-            "scenario 1 ber 0.01: 1 trajectories excluded",
+            "scenario 2 trajectory 0 ber 0.01 trial 0: run excluded",
+            "scenario 2 trajectory 1 ber 0.01 trial 0: run excluded",
             "scenario 2 trajectory 2 ber 0.01 trial 0: run excluded",
-            "scenario 2 trajectory 2 ber 0.01 trial 1: run excluded",
-            "scenario 2 ber 0.01: 1 trajectories excluded",
             "scenario 3 trajectory 2 ber 0 trial 0: run excluded",
             "scenario 3 ber 0.0001: 1 trajectories excluded",
+            "scenario 3 trajectory 0 ber 0.01 trial 1: run excluded",
             "scenario 3 trajectory 1 ber 0.01 trial 0: run excluded",
             "scenario 3 trajectory 1 ber 0.01 trial 1: run excluded",
-            "scenario 3 trajectory 3 ber 0.01 trial 0: run excluded",
             "scenario 3 ber 0.01: 2 trajectories excluded",
         ]
 
