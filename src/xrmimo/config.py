@@ -1,6 +1,6 @@
 """Experiment configuration: one schema table, strict validation, hashing.
 
-Configs are YAML (JSON is a subset) with nested sections.  ``SCHEMA``
+Configs are JSON or YAML files with nested sections.  ``SCHEMA``
 writes every setting once, with its check and its default, and one walk
 (``_resolve``) validates a fragment and fills in the defaults; the values
 that repeat the radio's description are derived (``build_config``).  Unknown
@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -412,14 +413,17 @@ def _check_simulated_targets(power: dict, ber: dict) -> None:
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a YAML/JSON config file (optional) and apply overrides on top."""
+    """Load a JSON or YAML config file (optional) and apply overrides on top.
+
+    A file that parses as JSON is read as JSON, and any other as YAML.
+    """
     fragment: dict = {}
     if path is not None:
-        # PyYAML is imported here, as only a config file needs it.
-        import yaml
-
         text = Path(path).read_text(encoding="utf-8")
-        loaded = yaml.safe_load(text)
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError:
+            loaded = _load_yaml(text)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -428,6 +432,21 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     if overrides:
         fragment = _merge_fragments(fragment, overrides)
     return build_config(fragment)
+
+
+def _load_yaml(text: str):
+    """PyYAML's safe load, but with YAML 1.2's floats: ``1e-5`` is a number, not a string."""
+    # PyYAML is imported here, as only a YAML config file needs it.
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return yaml.load(text, Loader=Loader)
 
 
 def _merge_fragments(base: dict, extra: dict) -> dict:

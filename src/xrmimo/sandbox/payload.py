@@ -108,6 +108,10 @@ class FrameEncoder:
     feature's depth in millimetres at its rounded pixel.  Features of one
     frame landing on the same pixel overwrite each other and the later
     feature wins; the robust pose solver treats the loser as an outlier.
+
+    ``clean_read`` is what ``read_slots`` makes of a frame's untouched wire,
+    and it stays so until a flip hits one of the ``read_bytes`` bytes that
+    ``read_slots`` reads of the frame, which ``reads`` tells.
     """
 
     def __init__(self, features, counts, scenario: int, camera: CameraModel):
@@ -122,19 +126,35 @@ class FrameEncoder:
         self._records = np.zeros(len(features), dtype=dtype)
         for name in dtype.names:
             self._records[name] = features[name]
-        self._depth = None
-        if depth_bytes:
-            pixels = camera.width * camera.height
-            frame = np.repeat(np.arange(counts.size), counts)
-            key = frame * pixels + _pixel_index(features["u"], features["v"], camera)
-            millimetres = np.clip(np.rint(features["depth"] * 1000.0), 0, 65535).astype(np.uint16)
-            # numpy leaves the winner of repeated fancy-index writes unspecified,
-            # so keep only the last feature on each (frame, pixel).
-            _, first_from_end = np.unique(key[::-1], return_index=True)
-            last = len(key) - 1 - first_from_end
-            # ``last`` is sorted by key, so by frame first.
-            self._depth_starts = np.searchsorted(key[last], np.arange(counts.size + 1) * pixels)
-            self._depth = (key[last] % pixels, millimetres[last])
+        self._itemsize = dtype.itemsize
+        self._valid_offset = dtype.fields["valid"][1]
+        valid = self._records["valid"] != 0
+        # A field-less void view is masked ten times faster than the fields.
+        raw = np.dtype((np.void, dtype.itemsize))
+        self._clean = self._records.view(raw)[valid].view(dtype)
+        self._clean_starts = np.concatenate([[0], np.cumsum(valid)])[self._starts]
+        # A frame's slots are read whole where a record was sent, and only
+        # for their ``valid`` byte where none was.
+        self.read_bytes = counts * dtype.itemsize + MAX_FEATURES_PER_FRAME - counts
+        self._depth, self._depth_keys = None, np.zeros(0, dtype=np.intp)
+        if not depth_bytes:
+            self._clean_depth = self._clean["depth"]
+            return
+        pixels = camera.width * camera.height
+        frame = np.repeat(np.arange(counts.size), counts)
+        key = frame * pixels + _pixel_index(features["u"], features["v"], camera)
+        millimetres = np.clip(np.rint(features["depth"] * 1000.0), 0, 65535).astype(np.uint16)
+        # numpy leaves the winner of repeated fancy-index writes unspecified,
+        # so keep only the last feature on each (frame, pixel).
+        _, first_from_end, winner = np.unique(key[::-1], return_index=True, return_inverse=True)
+        last = len(key) - 1 - first_from_end
+        # ``last`` is sorted by key, so by frame first.
+        self._depth_keys = key[last]
+        self._depth_starts = np.searchsorted(self._depth_keys, np.arange(counts.size + 1) * pixels)
+        self._depth = (self._depth_keys % pixels, millimetres[last])
+        # Each record reads the depth its pixel's last writer left there.
+        self._clean_depth = millimetres[last][winner[::-1]][valid] / 1000.0
+        self.read_bytes += 2 * np.diff(self._depth_starts)
 
     def write(self, wire: np.ndarray, frame: int) -> None:
         """Frame ``frame``'s payload into a uint8 array of ``n_bytes``."""
@@ -148,6 +168,30 @@ class FrameEncoder:
             lo, hi = self._depth_starts[frame], self._depth_starts[frame + 1]
             flat, millimetres = self._depth
             _depth_tail(wire, self._region, self._camera)[flat[lo:hi]] = millimetres[lo:hi]
+
+    def clean_read(self, frame: int) -> tuple[np.ndarray, np.ndarray]:
+        """``read_slots`` of frame ``frame``'s payload as ``write`` leaves it, without a wire."""
+        lo, hi = self._clean_starts[frame], self._clean_starts[frame + 1]
+        return self._clean[lo:hi], self._clean_depth[lo:hi]
+
+    def reads(self, frames, flips) -> np.ndarray:
+        """For each of ``frames``, whether a flip at any lane-major bit of its entry of
+        ``flips`` hits a byte that ``read_slots`` reads of it."""
+        owner = np.repeat(np.arange(len(frames)), [positions.size for positions in flips])
+        frame = np.asarray(frames, dtype=np.intp)[owner]
+        byte = np.concatenate([np.zeros(0, dtype=np.int64), *flips]) % self.n_bytes
+        slot, offset = np.divmod(byte, self._stride)
+        sent = self._starts[frame + 1] - self._starts[frame]
+        hit = np.where(slot < sent, offset < self._itemsize, offset == self._valid_offset)
+        hit &= slot < MAX_FEATURES_PER_FRAME
+        keys = self._depth_keys  # of each frame's depth pixels, ascending
+        if keys.size:
+            depth = byte >= self._region
+            flipped = frame[depth] * (self._camera.width * self._camera.height) + (
+                byte[depth] - self._region) // 2
+            found = keys[np.minimum(np.searchsorted(keys, flipped), keys.size - 1)]
+            hit[depth] = found == flipped
+        return np.bincount(owner[hit], minlength=len(frames)) > 0
 
 
 def decode_payload(payload: bytes, scenario: int, camera: CameraModel) -> np.ndarray:

@@ -3,25 +3,29 @@
 The trajectory is processed in blocks of at most ``BLOCK_FRAMES`` frames,
 so memory stays bounded however long it is.  In a block, every frame's
 features are observed in one stacked projection and converted to the wire
-record once.  Each frame with enough features is then written into a
-reused wire buffer, takes binomial bit errors in place from the frame's own
-random stream, and has its valid slots and depths read back; only bytes
-move per frame.  Where the frames expect dense bit errors, this link stage
-runs on two threads, each over a contiguous half of the frames with its own
-wire, since numpy draws and applies the flips without holding the GIL.  The
-received records of the block are range-sanitised together and matched
-against the known map in one call, where the popcount bound and the
-one-word lookup settle most rows before any full distance search.  The
-matches go to the solver as they come, back to back with a count per
-frame, as the other block stages take their rows.  Each frame's result is
-bit-identical to running those stages on that frame alone.
+record once.  Each frame with enough features then draws binomial bit
+errors from its own random stream.  A frame whose flips all miss the bytes
+its receiver reads skips the wire and receives the records it sent, which
+is what reading the flipped wire would give; at BER 0 every frame does,
+with no draw.  The other frames are written into a reused wire buffer,
+take their flips in place and have their valid slots and depths read back,
+so only bytes move per frame.  Where the frames expect dense bit errors,
+this link stage runs on two threads, each over a contiguous half of the
+frames with its own wire, since numpy draws and applies the flips without
+holding the GIL.  The received records of the block are range-sanitised
+together and matched against the known map in one call, where the
+popcount bound and the one-word lookup settle most rows before any full
+distance search.  The matches go to the solver as they come, back to back
+with a count per frame, as the other block stages take their rows.  Each
+frame's result is bit-identical to running those stages on that frame
+alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..biterrors import corrupt_in_place
+from ..biterrors import apply_flips, corrupt_in_place, draw_flips
 from ..parallel import in_two_halves
 from ..seeding import seed_sequence
 from .camera import CameraModel
@@ -51,6 +55,15 @@ BLOCK_FRAMES = 256
 # the time of one at BER 1e-3 (5 500-7 400 flips a frame), 0.8-1.1x at 2e-3
 # to 4e-3 (11 000-29 000 flips), and 0.7-0.8x at 1e-2 (55 000-74 000).
 PARALLEL_LINK_FLIPS = 16_384
+# Expected flips lambda on the bytes ``read_slots`` reads of a frame, below
+# which the frame skips the wire if its flips miss them all, as they do with
+# probability e^-lambda.  Over 100 frames checked together, the check took
+# 6-15 us a frame at lambda 0.3-1 and 19-41 us at 2 in scenarios 1 and 2,
+# and 1 us in scenario 3; skipping saved 70-130 us and 23 us.  So the check
+# pays up to lambda 1.5-1.6 in scenarios 1 and 2, and 2.9 in scenario 3.  A
+# default-scene frame reads 2 300-7 100 bytes: lambda is 0.2-0.6 at BER
+# 1e-5 and 1.8-5.7 at 1e-4.
+SKIP_CHECK_HITS = 1.5
 
 
 def run_pipeline(scene: Scene, camera: CameraModel, trajectory: GroundTruthTrajectory,
@@ -106,14 +119,31 @@ def _run_block(scene, camera, positions, quaternions, scenario, ber, streams):
 def _link(encoder, frames, ber, streams, scenario, camera):
     """The ``read_slots`` output of each of ``frames``, in order, after its trip over the link.
 
-    Each frame is written into this call's own wire and takes bit errors
-    from its own stream, so calls on disjoint frames may run on different
-    threads and give the bytes of one call over all of them.
+    A frame that expects fewer than ``SKIP_CHECK_HITS`` flips on the bytes
+    ``read_slots`` reads of it, and draws none there, skips the wire and
+    takes ``encoder.clean_read``; at BER 0 every frame does, with no draw.
+    Each other frame is written into this call's own wire and takes bit
+    errors from its own stream, the frames above the gate through
+    ``corrupt_in_place``, so calls on disjoint frames may run on
+    different threads and give the bytes of one call over all of them.
     """
+    if ber == 0.0:
+        return [encoder.clean_read(i) for i in frames]
+    # The frames to check draw first, and are checked together.
+    checked = frames[8 * ber * encoder.read_bytes[frames] < SKIP_CHECK_HITS]
+    flips = {i: draw_flips(8 * encoder.n_bytes, ber, np.random.default_rng(streams[i]))
+             for i in checked}
+    missed = set(checked[~encoder.reads(checked, list(flips.values()))])
     wire = np.empty(encoder.n_bytes, dtype=np.uint8)
     received = []
     for i in frames:
+        if i in missed:
+            received.append(encoder.clean_read(i))
+            continue
         encoder.write(wire, i)
-        corrupt_in_place(wire, ber, np.random.default_rng(streams[i]))
+        if i in flips:
+            apply_flips(wire, flips.pop(i))
+        else:
+            corrupt_in_place(wire, ber, np.random.default_rng(streams[i]))
         received.append(read_slots(wire, scenario, camera))
     return received

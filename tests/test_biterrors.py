@@ -1,6 +1,7 @@
 """Bit-error injection tests, and the receiver's range clamp."""
 
 import copy
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -136,8 +137,10 @@ class TestSortedFlipPositions:
     @example(n=LAW_BITS, data=None, seed=0)
     def test_ascending_distinct_in_range(self, n, data, seed):
         """Every regime, at its edges and inside: k ascending distinct int64 positions."""
+        # Above n / 2 the n - k unflipped bits are drawn, with edges of their own.
         edges = [0, 1, SORTED_DRAW_FLIPS - 1, SORTED_DRAW_FLIPS, n // 50, n // 50 + 1,
-                 n // 20, n - 1, n]
+                 n // 20, n // 2, n // 2 + 1, n - n // 50 - 1, n - n // 50,
+                 n - SORTED_DRAW_FLIPS, n - SORTED_DRAW_FLIPS + 1, n - 1, n]
         ks = [k for k in edges if 0 <= k <= n]
         if data is not None:
             ks.append(data.draw(st.integers(0, n)))
@@ -178,35 +181,47 @@ class TestSortedFlipPositions:
         assert pos[0] >= 0 and pos[-1] < LAW_BITS
 
     def test_law_in_the_sorted_draw_range(self):
-        """Single-position and pair inclusion rates of the sorted draw match a uniform k-subset.
-
-        Each position of a uniform k-subset of range(n) is included with
-        probability k/n, and a fixed pair with k(k-1)/(n(n-1)).
-        """
         rng = np.random.default_rng(12)
-        n, draws = LAW_BITS, 4000
-        ks = rng.integers(SORTED_LOW, SORTED_HIGH + 1, size=draws)
-        counts = np.zeros(n, dtype=np.int64)
-        offsets = (1, 7, n // 8, n // 2)  # neighbours, and the same byte in other lanes
-        pairs = np.zeros(len(offsets), dtype=np.int64)
-        for k in ks:
-            pos = sample_flip_positions(n, int(k), rng)
-            counts[pos] += 1
-            member = np.zeros(n, dtype=bool)
-            member[pos] = True
-            for j, d in enumerate(offsets):
-                pairs[j] += np.count_nonzero(member[:-d] & member[d:])
-        # Inclusion counts: mean k/n and variance (k/n)(1 - k/n) per draw; the
-        # fixed total removes one degree of freedom.
-        share = ks / n
-        expected, variance = share.sum(), (share * (1 - share)).sum()
-        statistic = float(np.sum((counts - expected) ** 2) / variance)
-        assert chi2.ppf(1e-4, df=n - 1) < statistic < chi2.ppf(1 - 1e-4, df=n - 1)
-        # The chi-square cannot see one position off; both ends of the range, alone, can.
-        assert (np.abs(counts[[0, -1]] - expected) <= 5 * np.sqrt(variance)).all()
-        # Pairs (q, q + d) both included, summed over q: about 1.7e5 per offset.
-        pair_mean = (n - np.array(offsets)) * (ks * (ks - 1)).sum() / (n * (n - 1))
-        assert (np.abs(pairs - pair_mean) <= 5 * np.sqrt(pair_mean)).all()
+        ks = rng.integers(SORTED_LOW, SORTED_HIGH + 1, size=4000)
+        assert_uniform_subsets(LAW_BITS, ks, rng)
+
+    # One k between n / 50 and n / 2, drawn with more draws than flips, and
+    # one above n / 2, the complement of such a draw.
+    @pytest.mark.parametrize("k", [LAW_BITS // 4, 3 * LAW_BITS // 4])
+    def test_law_above_the_sparse_range(self, k):
+        assert_uniform_subsets(LAW_BITS, np.full(400, k), np.random.default_rng(14))
+
+
+def assert_uniform_subsets(n, ks, rng):
+    """Single-position and pair inclusion rates of ``sample_flip_positions(n, k)`` over
+    ``ks`` match uniform k-subsets.
+
+    Each position of a uniform k-subset of range(n) is included with
+    probability k/n, and a fixed pair with k(k-1)/(n(n-1)).
+    """
+    counts = np.zeros(n, dtype=np.int64)
+    offsets = (1, 7, n // 8, n // 2)  # neighbours, and the same byte in other lanes
+    pairs = np.zeros(len(offsets), dtype=np.int64)
+    for k in ks:
+        pos = sample_flip_positions(n, int(k), rng)
+        counts[pos] += 1
+        member = np.zeros(n, dtype=bool)
+        member[pos] = True
+        for j, d in enumerate(offsets):
+            pairs[j] += np.count_nonzero(member[:-d] & member[d:])
+    # Inclusion counts: mean k/n and variance (k/n)(1 - k/n) per draw; the
+    # fixed total removes one degree of freedom.
+    share = ks / n
+    expected, variance = share.sum(), (share * (1 - share)).sum()
+    statistic = float(np.sum((counts - expected) ** 2) / variance)
+    assert chi2.ppf(1e-4, df=n - 1) < statistic < chi2.ppf(1 - 1e-4, df=n - 1)
+    # The chi-square cannot see one position off; both ends of the range, alone, can.
+    assert (np.abs(counts[[0, -1]] - expected) <= 5 * np.sqrt(variance)).all()
+    # Pairs (q, q + d) both included, summed over q: about 1.7e5 per offset in
+    # the sparse range.  A pair count of a uniform k-subset has a variance
+    # below its mean, so the bound holds at any density.
+    pair_mean = (n - np.array(offsets)) * (ks * (ks - 1.0)).sum() / (n * (n - 1))
+    assert (np.abs(pairs - pair_mean) <= 5 * np.sqrt(pair_mean)).all()
 
 
 def lane_major_oracle(payload: np.ndarray, positions: np.ndarray) -> bytes:
@@ -231,6 +246,21 @@ class TestCorrupt:
         positions = sample_flip_positions(8 * n_bytes, k, oracle_gen)
         assert buf.tobytes() == lane_major_oracle(payload, positions)
         assert gen.bit_generator.state == oracle_gen.bit_generator.state
+
+    # A ``choice`` over all n bits would take an int64 each: 59 MB on the
+    # scenario-1 wire.  The draw takes about 16 bytes per flip.
+    @pytest.mark.parametrize("ber", [0.1, 0.3, 0.7])
+    def test_dense_draw_memory_grows_with_the_flips(self, ber):
+        wire = np.zeros(921_600, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            corrupt_in_place(wire, ber, np.random.default_rng(13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flips = int(np.bitwise_count(wire).sum())
+        assert abs(flips - 8 * wire.size * ber) < 5 * np.sqrt(8 * wire.size * ber)
+        assert peak < 24 * flips
 
     def test_zero_ber_identity(self):
         rng = np.random.default_rng(5)

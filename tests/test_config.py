@@ -440,6 +440,18 @@ class TestLoadConfig:
         assert cfg.seed == 7
         assert str(cfg.output_dir) == "out"
 
+    # JSON and YAML 1.2 read both spellings as numbers; PyYAML's YAML 1.1
+    # rules alone read ``1e-5`` as a string.
+    @pytest.mark.parametrize("spelling", ["1e-5", "1.0e-5"])
+    @pytest.mark.parametrize("text, suffix", [
+        ('{{"sensitivity": {{"ber_grid": [{}, 2E-3]}}}}', "json"),
+        ("sensitivity:\n  ber_grid: [{}, 2E-3]\n", "yaml"),
+    ], ids=["json", "yaml"])
+    def test_exponent_floats(self, tmp_path, text, suffix, spelling):
+        path = tmp_path / f"cfg.{suffix}"
+        path.write_text(text.format(spelling))
+        assert load_config(path).sensitivity["ber_grid"] == [1e-5, 2e-3]
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: 42\n")

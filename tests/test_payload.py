@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from test_biterrors import hamming_distance
 import xrmimo.sandbox.payload as payload_module
-from xrmimo.biterrors import corrupt, corrupt_in_place
+from xrmimo.biterrors import apply_flips, corrupt, corrupt_in_place, draw_flips
 from xrmimo.exceptions import ConfigurationError, FramingError
 from xrmimo.scenarios import SCENARIO_IDS, SCENARIO_UL_BYTES
 from xrmimo.sandbox import (
@@ -301,6 +301,106 @@ def test_scenario_1_receiver_reads_only_slots_and_depth_image(camera):
             assert wire.tobytes() != received
             assert (decode_payload(wire.tobytes(), 1, camera).tobytes()
                     == decode_payload(received, 1, camera).tobytes())
+
+
+def read_set_frames(camera):
+    """Frames sharing pixels within and across frames, with a record the sender marks invalid.
+
+    Frame 0 puts rows 0 and 1 on one pixel, and rows 3 and 4 on another
+    where the invalid row 4 writes last; frame 1 puts its row 5 on frame 0's
+    first pixel.  Frame 2 fills every slot, frame 3 sends 4 records and
+    frame 4 none.
+    """
+    frames = [camera_features(camera, n, seed) for seed, n in enumerate([40, 40, 1536, 4, 0])]
+    for frame, row in ((0, 0), (0, 1), (1, 5)):
+        frames[frame]["u"][row], frames[frame]["v"][row] = 100.2, 49.9
+    frames[0]["u"][4], frames[0]["v"][4] = frames[0]["u"][3], frames[0]["v"][3]
+    frames[0]["valid"][4] = 0
+    return frames
+
+
+def hand_built_flips(frames, j, scenario, camera):
+    """(name, byte, whether ``read_slots`` reads that byte of frame j) for single flips
+    at the edges of the read set."""
+    dtype, stride, region, has_depth = oracle_layout(scenario, camera)
+    n = len(frames[j])
+    valid = dtype.fields["valid"][1]
+    cases = []
+    if n:
+        cases += [("first byte of a sent record", 0, True),
+                  ("last byte of a sent record", (n - 1) * stride + dtype.itemsize - 1, True)]
+    if n < MAX_FEATURES_PER_FRAME:
+        cases += [("valid byte of an empty slot", n * stride + valid, True),
+                  ("other byte of an empty slot", n * stride + valid - 1, False)]
+    if scenario == 1:
+        cases.append(("gap byte between slots", dtype.itemsize, False))
+    if has_depth and n:
+        px = np.clip(np.rint(frames[j]["u"][0]), 0, camera.width - 1).astype(int)
+        py = np.clip(np.rint(frames[j]["v"][0]), 0, camera.height - 1).astype(int)
+        sent = region + 2 * (py * camera.width + px)
+        cases += [("high byte of a sent depth pixel", sent + 1, True),
+                  ("depth pixel not sent", region + 2 * camera.width * camera.height - 2, False)]
+    return cases
+
+
+@pytest.mark.parametrize("camera", [CAMERA, CameraModel(width=321, height=241)],
+                         ids=["640x480", "321x241"])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_read_set_check_against_read_slots(camera, scenario):
+    """Where ``reads`` finds no flip on a read byte, ``clean_read`` is ``read_slots`` of the
+    written and flipped wire, byte for byte; where the two differ, ``reads`` finds one.
+
+    Each set is checked alone, then all of them together.
+    """
+    frames = read_set_frames(camera)
+    encoder = FrameEncoder(np.concatenate(frames), [len(f) for f in frames], scenario, camera)
+    wire = np.empty(encoder.n_bytes, dtype=np.uint8)
+    rng = np.random.default_rng([43, scenario])
+    sets, verdicts = [], []
+
+    def check(j, positions):
+        encoder.write(wire, j)
+        apply_flips(wire, positions)
+        records, depth = read_slots(wire, scenario, camera)
+        clean_records, clean_depth = encoder.clean_read(j)
+        same = (records.dtype == clean_records.dtype
+                and records.tobytes() == clean_records.tobytes()
+                and depth.tobytes() == clean_depth.tobytes())
+        hit = bool(encoder.reads([j], [positions])[0])
+        assert hit or same, (j, positions)
+        sets.append((j, positions, hit))
+        return hit, same
+
+    for j, features in enumerate(frames):
+        assert check(j, np.zeros(0, dtype=np.int64)) == (False, True)
+        assert len(encoder.clean_read(j)[0]) == np.count_nonzero(features["valid"])
+        for name, byte, read in hand_built_flips(frames, j, scenario, camera):
+            for lane in (0, 7):
+                hit, same = check(j, np.array([lane * encoder.n_bytes + byte]))
+                # Each read byte here changes the read-out when flipped.
+                assert (hit, same) == (read, not read), (j, name, lane)
+        for ber in (1e-6, 1e-5, 1e-4, 1e-3):
+            for _ in range(5):
+                verdicts.append(check(j, draw_flips(8 * encoder.n_bytes, ber, rng))[0])
+    # The random sets give both verdicts.
+    assert 0 < sum(verdicts) < len(verdicts)
+    # Checked together, in any frame order, each set keeps its verdict.
+    for order in (slice(None), slice(None, None, -1)):
+        frame, flips, hit = zip(*sets[order])
+        assert encoder.reads(np.array(frame), flips).tolist() == list(hit)
+    # An encoder whose one frame sends nothing reads only the valid bytes.
+    dtype, stride, region, has_depth = oracle_layout(scenario, camera)
+    alone = FrameEncoder(frames[4], [0], scenario, camera)
+    flips = [np.array([stride + dtype.fields["valid"][1]]), np.array([alone.n_bytes - 1])]
+    assert alone.reads([0, 0], flips).tolist() == [True, False]
+    # Every read byte counts once in the size that ``run_pipeline``'s gate takes.
+    for j, features in enumerate(frames):
+        pixels = np.unique(np.clip(np.rint(features["v"]), 0, camera.height - 1).astype(int)
+                           * camera.width
+                           + np.clip(np.rint(features["u"]), 0, camera.width - 1).astype(int))
+        n = len(features)
+        assert encoder.read_bytes[j] == (n * dtype.itemsize + MAX_FEATURES_PER_FRAME - n
+                                         + 2 * pixels.size * has_depth)
 
 
 class TestSmallImage:

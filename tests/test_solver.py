@@ -38,6 +38,7 @@ from xrmimo.sandbox import (
     solve_poses,
 )
 from xrmimo.sandbox.features import observe_block
+from xrmimo.sandbox.payload import FrameEncoder
 from xrmimo.sandbox.pipeline import BLOCK_FRAMES
 from xrmimo.sandbox.solver import SOLVE_CHUNK_FRAMES
 from xrmimo.seeding import seed_sequence
@@ -423,6 +424,39 @@ class TestLinkThreads:
             assert (counts[part[0]:part[-1]] < MIN_FEATURES_FOR_POSE).any()
         estimate = assert_links_cannot_move_a_bit(monkeypatch, scene, traj, 2, ber, 42)
         assert_same_bytes(estimate, replay_pipeline(scene, CAMERA, traj, 2, ber, 42))
+
+
+class TestWireBypass:
+    """Frames whose bit errors miss every byte the receiver reads skip the wire.
+
+    Skipping changes no bit (the replay tests above), so only a count shows
+    that it happens.
+    """
+
+    @staticmethod
+    def link_calls(monkeypatch, scene, traj, scenario, ber):
+        """(wires written, generators built) over one ``run_pipeline`` call."""
+        writes, generators = [], []
+        write, default_rng = FrameEncoder.write, np.random.default_rng
+        with monkeypatch.context() as patch:
+            patch.setattr(FrameEncoder, "write",
+                          lambda self, wire, i: writes.append(i) or write(self, wire, i))
+            # ``_link`` is the one caller of ``default_rng`` in ``run_pipeline``.
+            patch.setattr(np.random, "default_rng",
+                          lambda *a: generators.append(a) or default_rng(*a))
+            run_pipeline(scene, CAMERA, traj, scenario, ber, rng=44)
+        return len(writes), len(generators)
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_most_frames_skip_the_wire_at_low_ber(self, world, monkeypatch, scenario):
+        scene, _ = world
+        traj = generate_trajectory(100, rng=45)
+        _, counts = observe_block(scene, CAMERA, traj.positions, traj.quaternions)
+        n_sent = np.count_nonzero(counts >= MIN_FEATURES_FOR_POSE)
+        assert n_sent > 90
+        assert self.link_calls(monkeypatch, scene, traj, scenario, 0.0) == (0, 0)
+        writes, generators = self.link_calls(monkeypatch, scene, traj, scenario, 1e-5)
+        assert generators == n_sent and writes <= n_sent // 2
 
 
 class TestPipeline:
